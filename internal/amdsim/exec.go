@@ -4,83 +4,85 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/siasm"
+	"repro/internal/simt"
 )
 
 func (d *Device) latency(cl siasm.Class) int64 {
 	switch cl {
 	case siasm.ClassSFU:
-		return int64(d.chip.SFULat)
+		return int64(d.Chip.SFULat)
 	case siasm.ClassLDS:
-		return int64(d.chip.LocalLat)
+		return int64(d.Chip.LocalLat)
 	case siasm.ClassGlobal:
-		return int64(d.chip.GlobalLat)
+		return int64(d.Chip.GlobalLat)
 	default:
-		return int64(d.chip.ALULat)
+		return int64(d.Chip.ALULat)
 	}
 }
 
 // opReady returns the scoreboard time of one operand.
-func (w *wavefront) opReady(o siasm.Operand) int64 {
+func opReady(w *wavefront, o siasm.Operand) int64 {
 	switch o.Kind {
 	case siasm.OperandVReg:
-		if int(o.Reg) < len(w.vgprReady) {
-			return w.vgprReady[o.Reg]
+		if int(o.Reg) < len(w.RegReady) {
+			return w.RegReady[o.Reg]
 		}
 	case siasm.OperandSReg:
-		return w.sgprReady[o.Reg]
+		return w.Arch.sgprReady[o.Reg]
 	case siasm.OperandSReg64:
-		a := w.sgprReady[o.Reg]
-		if int(o.Reg)+1 < len(w.sgprReady) && w.sgprReady[o.Reg+1] > a {
-			a = w.sgprReady[o.Reg+1]
+		a := w.Arch.sgprReady[o.Reg]
+		if int(o.Reg)+1 < len(w.Arch.sgprReady) && w.Arch.sgprReady[o.Reg+1] > a {
+			a = w.Arch.sgprReady[o.Reg+1]
 		}
 		return a
 	case siasm.OperandVCC:
-		return w.vccReady
+		return w.Arch.vccReady
 	case siasm.OperandEXEC:
-		return w.execReady
+		return w.Arch.execReady
 	}
 	return 0
 }
 
 // depReady returns the cycle at which all dependencies are available.
-func (w *wavefront) depReady(in *siasm.Instr) int64 {
-	t := w.opReady(in.Dst)
+func depReady(w *wavefront, in *siasm.Instr) int64 {
+	t := opReady(w, in.Dst)
 	for _, o := range in.Src {
-		if r := w.opReady(o); r > t {
+		if r := opReady(w, o); r > t {
 			t = r
 		}
 	}
 	switch siasm.OpClass(in.Op) {
 	case siasm.ClassVector, siasm.ClassSFU, siasm.ClassLDS, siasm.ClassGlobal:
-		if in.Op != siasm.OpSLoadDW && w.execReady > t {
-			t = w.execReady
+		if in.Op != siasm.OpSLoadDW && w.Arch.execReady > t {
+			t = w.Arch.execReady
 		}
 	}
 	switch in.Op {
 	case siasm.OpVCndmask:
-		if w.vccReady > t {
-			t = w.vccReady
+		if w.Arch.vccReady > t {
+			t = w.Arch.vccReady
 		}
 	case siasm.OpSCBranch:
 		switch in.BrCond {
 		case siasm.BrSCC0, siasm.BrSCC1:
-			if w.sccReady > t {
-				t = w.sccReady
+			if w.Arch.sccReady > t {
+				t = w.Arch.sccReady
 			}
 		case siasm.BrVCCZ, siasm.BrVCCNZ:
-			if w.vccReady > t {
-				t = w.vccReady
+			if w.Arch.vccReady > t {
+				t = w.Arch.vccReady
 			}
 		default:
-			if w.execReady > t {
-				t = w.execReady
+			if w.Arch.execReady > t {
+				t = w.Arch.execReady
 			}
 		}
 	case siasm.OpSAndSaveexec, siasm.OpSOrSaveexec:
-		if w.execReady > t {
-			t = w.execReady
+		if w.Arch.execReady > t {
+			t = w.Arch.execReady
 		}
 	}
 	return t
@@ -89,23 +91,23 @@ func (w *wavefront) depReady(in *siasm.Instr) int64 {
 // vgprIndex maps (wavefront, lane, architectural VGPR) to the physical
 // entry within the CU's VGPR file (register-major layout).
 func (d *Device) vgprIndex(w *wavefront, lane int, r uint8) int {
-	return w.vgprWBase + int(r)*d.chip.WarpWidth + lane
+	return w.Arch.vgprWBase + int(r)*d.Chip.WarpWidth + lane
 }
 
 func (d *Device) readVGPR(c *cu, w *wavefront, lane int, r uint8) uint32 {
 	idx := d.vgprIndex(w, lane, r)
-	if t := d.tracer; t != nil {
-		t.RegAccess(c.id, idx, d.cycle, false)
+	if t := d.Tracer; t != nil {
+		t.RegAccess(c.ID, idx, d.Cycle, false)
 	}
-	return c.vgprs[idx]
+	return c.Regs[idx]
 }
 
 func (d *Device) writeVGPR(c *cu, w *wavefront, lane int, r uint8, v uint32) {
 	idx := d.vgprIndex(w, lane, r)
-	if t := d.tracer; t != nil {
-		t.RegAccess(c.id, idx, d.cycle, true)
+	if t := d.Tracer; t != nil {
+		t.RegAccess(c.ID, idx, d.Cycle, true)
 	}
-	c.vgprs[idx] = v
+	c.Regs[idx] = v
 }
 
 // readOp32 evaluates a 32-bit source for one lane.
@@ -114,7 +116,7 @@ func (d *Device) readOp32(c *cu, w *wavefront, lane int, o siasm.Operand) (uint3
 	case siasm.OperandVReg:
 		return d.readVGPR(c, w, lane, o.Reg), nil
 	case siasm.OperandSReg:
-		return w.sgprs[o.Reg], nil
+		return w.Arch.sgprs[o.Reg], nil
 	case siasm.OperandImm:
 		return o.Imm, nil
 	default:
@@ -123,7 +125,7 @@ func (d *Device) readOp32(c *cu, w *wavefront, lane int, o siasm.Operand) (uint3
 }
 
 // read64 evaluates a 64-bit scalar source.
-func (w *wavefront) read64(o siasm.Operand) (uint64, error) {
+func (w *waveState) read64(o siasm.Operand) (uint64, error) {
 	switch o.Kind {
 	case siasm.OperandSReg64:
 		return uint64(w.sgprs[o.Reg]) | uint64(w.sgprs[o.Reg+1])<<32, nil
@@ -140,7 +142,7 @@ func (w *wavefront) read64(o siasm.Operand) (uint64, error) {
 
 // write64 stores to a 64-bit scalar destination; EXEC writes are masked
 // to existing lanes.
-func (w *wavefront) write64(o siasm.Operand, v uint64, ready int64) error {
+func (w *waveState) write64(o siasm.Operand, v uint64, ready int64) error {
 	switch o.Kind {
 	case siasm.OperandSReg64:
 		w.sgprs[o.Reg] = uint32(v)
@@ -159,91 +161,67 @@ func (w *wavefront) write64(o siasm.Operand, v uint64, ready int64) error {
 	return nil
 }
 
-func (d *Device) finishWave(c *cu, w *wavefront) {
-	if w.done {
-		return
-	}
-	w.done = true
-	g := w.grp
-	g.live--
-	c.liveWave--
-	if g.live > 0 && g.arrived >= g.live {
-		releaseBarrier(g, d.cycle)
-	}
-}
-
-func releaseBarrier(g *group, cycle int64) {
-	g.arrived = 0
-	for _, w := range g.waves {
-		if !w.done && w.atBarrier {
-			w.atBarrier = false
-			w.wakeAt = cycle
-		}
-	}
-}
-
-// tryIssue attempts to issue the wavefront's next instruction.
-func (d *Device) tryIssue(c *cu, w *wavefront, lc *launchCtx) (bool, int64, error) {
-	if w.pc < 0 || w.pc >= len(lc.prog.Instrs) {
+// Issue implements simt.ISA: it attempts to issue the wavefront's next
+// instruction at the current cycle.
+func (d *Device) Issue(c *cu, w *wavefront) (bool, int64, error) {
+	prog := d.prog
+	if w.PC < 0 || w.PC >= len(prog.Instrs) {
 		return false, 0, fmt.Errorf("amdsim: kernel %s: invalid PC %d (wave %d of group %d)",
-			lc.prog.Name, w.pc, w.idx, w.grp.id)
+			prog.Name, w.PC, w.Idx, w.Blk.ID)
 	}
-	in := &lc.prog.Instrs[w.pc]
-	if ready := w.depReady(in); ready > d.cycle {
+	in := &prog.Instrs[w.PC]
+	if ready := depReady(w, in); ready > d.Cycle {
 		return false, ready, nil
 	}
+	st := &w.Arch
 	lat := d.latency(siasm.OpClass(in.Op))
-	active := w.exec & w.valid
-	ww := d.chip.WarpWidth
+	active := st.exec & st.valid
+	ww := d.Chip.WarpWidth
 
-	d.stats.Instructions++
+	d.Counters.Instructions++
 	switch siasm.OpClass(in.Op) {
 	case siasm.ClassVector, siasm.ClassSFU, siasm.ClassLDS, siasm.ClassGlobal:
-		d.stats.LaneInstructions += int64(popcount64(active))
+		d.Counters.LaneInstructions += int64(bits.OnesCount64(active))
 	default:
-		d.stats.LaneInstructions++
+		d.Counters.LaneInstructions++
 	}
 
 	switch in.Op {
 	case siasm.OpSNop, siasm.OpSWaitcnt:
-		w.pc++
+		w.PC++
 
 	case siasm.OpSEndpgm:
-		w.pc++
-		d.finishWave(c, w)
+		w.PC++
+		d.Finish(c, w)
 
 	case siasm.OpSBranch:
-		w.pc = in.Target
+		w.PC = in.Target
 
 	case siasm.OpSCBranch:
 		taken := false
 		switch in.BrCond {
 		case siasm.BrSCC0:
-			taken = !w.scc
+			taken = !st.scc
 		case siasm.BrSCC1:
-			taken = w.scc
+			taken = st.scc
 		case siasm.BrVCCZ:
-			taken = w.vcc == 0
+			taken = st.vcc == 0
 		case siasm.BrVCCNZ:
-			taken = w.vcc != 0
+			taken = st.vcc != 0
 		case siasm.BrEXECZ:
 			taken = active == 0
 		case siasm.BrEXECNZ:
 			taken = active != 0
 		}
 		if taken {
-			w.pc = in.Target
+			w.PC = in.Target
 		} else {
-			w.pc++
+			w.PC++
 		}
 
 	case siasm.OpSBarrier:
-		w.pc++
-		w.atBarrier = true
-		w.grp.arrived++
-		if w.grp.arrived >= w.grp.live {
-			releaseBarrier(w.grp, d.cycle)
-		}
+		w.PC++
+		d.Barrier(w)
 
 	case siasm.OpSMov32, siasm.OpSAdd, siasm.OpSSub, siasm.OpSMul,
 		siasm.OpSAnd32, siasm.OpSOr32, siasm.OpSXor32,
@@ -251,7 +229,7 @@ func (d *Device) tryIssue(c *cu, w *wavefront, lc *launchCtx) (bool, int64, erro
 		if err := d.execScalar32(c, w, in, lat); err != nil {
 			return false, 0, err
 		}
-		w.pc++
+		w.PC++
 
 	case siasm.OpSCmp:
 		a, err := d.readOp32(c, w, 0, in.Src[0])
@@ -262,40 +240,40 @@ func (d *Device) tryIssue(c *cu, w *wavefront, lc *launchCtx) (bool, int64, erro
 		if err != nil {
 			return false, 0, err
 		}
-		w.scc = in.Cond.Eval(in.CmpTy, a, b)
-		w.sccReady = d.cycle + lat
-		w.pc++
+		st.scc = in.Cond.Eval(in.CmpTy, a, b)
+		st.sccReady = d.Cycle + lat
+		w.PC++
 
 	case siasm.OpSLoadDW:
-		w.sgprs[in.Dst.Reg] = lc.args[in.KArg]
-		w.sgprReady[in.Dst.Reg] = d.cycle + lat
-		w.pc++
+		st.sgprs[in.Dst.Reg] = d.LC.Args[in.KArg]
+		st.sgprReady[in.Dst.Reg] = d.Cycle + lat
+		w.PC++
 
 	case siasm.OpSMov64, siasm.OpSNot64, siasm.OpSAnd64, siasm.OpSOr64,
 		siasm.OpSXor64, siasm.OpSAndn264:
-		if err := d.execScalar64(w, in, lat); err != nil {
+		if err := d.execScalar64(st, in, lat); err != nil {
 			return false, 0, err
 		}
-		w.pc++
+		w.PC++
 
 	case siasm.OpSAndSaveexec, siasm.OpSOrSaveexec:
-		s0, err := w.read64(in.Src[0])
+		s0, err := st.read64(in.Src[0])
 		if err != nil {
 			return false, 0, err
 		}
-		old := w.exec
-		if err := w.write64(in.Dst, old, d.cycle+lat); err != nil {
+		old := st.exec
+		if err := st.write64(in.Dst, old, d.Cycle+lat); err != nil {
 			return false, 0, err
 		}
 		if in.Op == siasm.OpSAndSaveexec {
-			w.exec = (old & s0) & w.valid
+			st.exec = (old & s0) & st.valid
 		} else {
-			w.exec = (old | s0) & w.valid
+			st.exec = (old | s0) & st.valid
 		}
-		w.execReady = d.cycle + lat
-		w.scc = w.exec != 0
-		w.sccReady = d.cycle + lat
-		w.pc++
+		st.execReady = d.Cycle + lat
+		st.scc = st.exec != 0
+		st.sccReady = d.Cycle + lat
+		w.PC++
 
 	case siasm.OpVCmp:
 		var mask uint64
@@ -315,27 +293,27 @@ func (d *Device) tryIssue(c *cu, w *wavefront, lc *launchCtx) (bool, int64, erro
 				mask |= 1 << lane
 			}
 		}
-		w.vcc = mask
-		w.vccReady = d.cycle + lat
-		w.pc++
+		st.vcc = mask
+		st.vccReady = d.Cycle + lat
+		w.PC++
 
 	case siasm.OpDSRead, siasm.OpDSWrite:
 		if err := d.execLDS(c, w, in, active, ww); err != nil {
 			return false, 0, err
 		}
 		if in.Op == siasm.OpDSRead {
-			w.vgprReady[in.Dst.Reg] = d.cycle + lat
+			w.RegReady[in.Dst.Reg] = d.Cycle + lat
 		}
-		w.pc++
+		w.PC++
 
 	case siasm.OpBufLoad, siasm.OpBufStor:
 		if err := d.execBuffer(c, w, in, active, ww); err != nil {
 			return false, 0, err
 		}
 		if in.Op == siasm.OpBufLoad {
-			w.vgprReady[in.Dst.Reg] = d.cycle + lat
+			w.RegReady[in.Dst.Reg] = d.Cycle + lat
 		}
-		w.pc++
+		w.PC++
 
 	default: // vector ALU/SFU
 		for lane := 0; lane < ww; lane++ {
@@ -348,12 +326,12 @@ func (d *Device) tryIssue(c *cu, w *wavefront, lc *launchCtx) (bool, int64, erro
 			}
 			d.writeVGPR(c, w, lane, in.Dst.Reg, v)
 		}
-		w.vgprReady[in.Dst.Reg] = d.cycle + lat
-		w.pc++
+		w.RegReady[in.Dst.Reg] = d.Cycle + lat
+		w.PC++
 	}
 
-	if w.pc >= len(lc.prog.Instrs) && !w.done {
-		return false, 0, fmt.Errorf("amdsim: kernel %s: control flow fell off program end", lc.prog.Name)
+	if w.PC >= len(prog.Instrs) && !w.Done {
+		return false, 0, fmt.Errorf("amdsim: kernel %s: control flow fell off program end", prog.Name)
 	}
 	return true, 0, nil
 }
@@ -406,19 +384,19 @@ func (d *Device) execScalar32(c *cu, w *wavefront, in *siasm.Instr, lat int64) e
 	if in.Dst.Kind != siasm.OperandSReg {
 		return fmt.Errorf("amdsim: scalar destination %s is not an SGPR", in.Dst)
 	}
-	w.sgprs[in.Dst.Reg] = v
-	w.sgprReady[in.Dst.Reg] = d.cycle + lat
+	w.Arch.sgprs[in.Dst.Reg] = v
+	w.Arch.sgprReady[in.Dst.Reg] = d.Cycle + lat
 	return nil
 }
 
-func (d *Device) execScalar64(w *wavefront, in *siasm.Instr, lat int64) error {
-	s0, err := w.read64(in.Src[0])
+func (d *Device) execScalar64(st *waveState, in *siasm.Instr, lat int64) error {
+	s0, err := st.read64(in.Src[0])
 	if err != nil {
 		return err
 	}
 	var s1 uint64
 	if in.Src[1].Kind != siasm.OperandNone {
-		s1, err = w.read64(in.Src[1])
+		s1, err = st.read64(in.Src[1])
 		if err != nil {
 			return err
 		}
@@ -438,7 +416,7 @@ func (d *Device) execScalar64(w *wavefront, in *siasm.Instr, lat int64) error {
 	case siasm.OpSAndn264:
 		v = s0 &^ s1
 	}
-	return w.write64(in.Dst, v, d.cycle+lat)
+	return st.write64(in.Dst, v, d.Cycle+lat)
 }
 
 func (d *Device) execVALU(c *cu, w *wavefront, lane int, in *siasm.Instr) (uint32, error) {
@@ -496,9 +474,9 @@ func (d *Device) execVALU(c *cu, w *wavefront, lane int, in *siasm.Instr) (uint3
 		fd := math.Float32frombits(dv)
 		return math.Float32bits(float32(math.FMA(float64(fa), float64(fb), float64(fd)))), nil
 	case siasm.OpVMinF:
-		return math.Float32bits(fminf(fa, fb)), nil
+		return math.Float32bits(simt.FMin(fa, fb)), nil
 	case siasm.OpVMaxF:
-		return math.Float32bits(fmaxf(fa, fb)), nil
+		return math.Float32bits(simt.FMax(fa, fb)), nil
 	case siasm.OpVRcpF:
 		return math.Float32bits(1 / fa), nil
 	case siasm.OpVSqrtF:
@@ -510,9 +488,9 @@ func (d *Device) execVALU(c *cu, w *wavefront, lane int, in *siasm.Instr) (uint3
 	case siasm.OpVCvtFI:
 		return math.Float32bits(float32(int32(a))), nil
 	case siasm.OpVCvtIF:
-		return uint32(f2i(fa)), nil
+		return uint32(simt.F2I(fa)), nil
 	case siasm.OpVCndmask:
-		if w.vcc&(1<<lane) != 0 {
+		if w.Arch.vcc&(1<<lane) != 0 {
 			return b, nil
 		}
 		return a, nil
@@ -522,7 +500,7 @@ func (d *Device) execVALU(c *cu, w *wavefront, lane int, in *siasm.Instr) (uint3
 }
 
 func (d *Device) execLDS(c *cu, w *wavefront, in *siasm.Instr, active uint64, ww int) error {
-	g := w.grp
+	g := w.Blk
 	for lane := 0; lane < ww; lane++ {
 		if active&(1<<lane) == 0 {
 			continue
@@ -535,27 +513,27 @@ func (d *Device) execLDS(c *cu, w *wavefront, in *siasm.Instr, active uint64, ww
 		}
 		addr += uint32(in.MemOff)
 		if addr%4 != 0 {
-			return fmt.Errorf("amdsim: kernel LDS access misaligned %#x (PC %d)", addr, w.pc)
+			return fmt.Errorf("amdsim: kernel LDS access misaligned %#x (PC %d)", addr, w.PC)
 		}
-		if int(addr)+4 > g.ldsCount {
-			return fmt.Errorf("amdsim: LDS access %#x beyond group allocation %d (PC %d)", addr, g.ldsCount, w.pc)
+		if int(addr)+4 > g.LocalCount {
+			return fmt.Errorf("amdsim: LDS access %#x beyond group allocation %d (PC %d)", addr, g.LocalCount, w.PC)
 		}
-		phys := g.ldsBase + int(addr)
+		phys := g.LocalBase + int(addr)
 		if in.Op == siasm.OpDSRead {
-			if t := d.tracer; t != nil {
-				t.LocalAccess(c.id, phys, 4, d.cycle, false)
+			if t := d.Tracer; t != nil {
+				t.LocalAccess(c.ID, phys, 4, d.Cycle, false)
 			}
-			v := binary.LittleEndian.Uint32(c.lds[phys:])
+			v := binary.LittleEndian.Uint32(c.Local[phys:])
 			d.writeVGPR(c, w, lane, in.Dst.Reg, v)
 		} else {
 			v, err := d.readOp32(c, w, lane, dataOp)
 			if err != nil {
 				return err
 			}
-			if t := d.tracer; t != nil {
-				t.LocalAccess(c.id, phys, 4, d.cycle, true)
+			if t := d.Tracer; t != nil {
+				t.LocalAccess(c.ID, phys, 4, d.Cycle, true)
 			}
-			binary.LittleEndian.PutUint32(c.lds[phys:], v)
+			binary.LittleEndian.PutUint32(c.Local[phys:], v)
 		}
 	}
 	return nil
@@ -573,11 +551,11 @@ func (d *Device) execBuffer(c *cu, w *wavefront, in *siasm.Instr, active uint64,
 			}
 			addr += uint32(in.MemOff)
 			if addr%4 != 0 {
-				return fmt.Errorf("amdsim: misaligned global access %#x (PC %d)", addr, w.pc)
+				return fmt.Errorf("amdsim: misaligned global access %#x (PC %d)", addr, w.PC)
 			}
-			v, err := d.mem.Load32(addr)
+			v, err := d.Memory.Load32(addr)
 			if err != nil {
-				return fmt.Errorf("amdsim: PC %d: %w", w.pc, err)
+				return fmt.Errorf("amdsim: PC %d: %w", w.PC, err)
 			}
 			d.writeVGPR(c, w, lane, in.Dst.Reg, v)
 		} else {
@@ -592,62 +570,12 @@ func (d *Device) execBuffer(c *cu, w *wavefront, in *siasm.Instr, active uint64,
 			}
 			addr += uint32(in.MemOff)
 			if addr%4 != 0 {
-				return fmt.Errorf("amdsim: misaligned global access %#x (PC %d)", addr, w.pc)
+				return fmt.Errorf("amdsim: misaligned global access %#x (PC %d)", addr, w.PC)
 			}
-			if err := d.mem.Store32(addr, v); err != nil {
-				return fmt.Errorf("amdsim: PC %d: %w", w.pc, err)
+			if err := d.Memory.Store32(addr, v); err != nil {
+				return fmt.Errorf("amdsim: PC %d: %w", w.PC, err)
 			}
 		}
 	}
 	return nil
-}
-
-func fminf(a, b float32) float32 {
-	switch {
-	case a != a:
-		return b
-	case b != b:
-		return a
-	case a < b:
-		return a
-	default:
-		return b
-	}
-}
-
-func fmaxf(a, b float32) float32 {
-	switch {
-	case a != a:
-		return b
-	case b != b:
-		return a
-	case a > b:
-		return a
-	default:
-		return b
-	}
-}
-
-func f2i(f float32) int32 {
-	if f != f {
-		return 0
-	}
-	v := math.Trunc(float64(f))
-	switch {
-	case v > math.MaxInt32:
-		return math.MaxInt32
-	case v < math.MinInt32:
-		return math.MinInt32
-	default:
-		return int32(v)
-	}
-}
-
-func popcount64(m uint64) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
 }

@@ -120,7 +120,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		return errorFrom(resp)
 	}
@@ -128,6 +128,18 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// maxDrain bounds how much of an unread response body drainClose reads.
+const maxDrain = 64 << 10
+
+// drainClose reads what json.Decoder left of body (at least the
+// trailing newline) before closing it, so the transport can reuse the
+// keep-alive connection. A body with more than maxDrain bytes left is
+// closed undrained, which costs one connection instead of a long read.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	body.Close()
 }
 
 // Event is one NDJSON line of an experiment or figure stream.

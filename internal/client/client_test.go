@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -377,5 +378,44 @@ func TestFigureStream(t *testing.T) {
 	}
 	if err := json.Unmarshal(fig, &doc); err != nil || len(doc.Rows) != 3 {
 		t.Fatalf("figure doc %s: %v", fig, err)
+	}
+}
+
+// TestClientReusesConnections: json.Decoder stops before the trailing
+// newline of a response, so the client must drain the rest or every
+// call opens a new keep-alive connection. Fifty sequential status
+// calls, alternating 2xx answers and 404 error envelopes, must share
+// one.
+func TestClientReusesConnections(t *testing.T) {
+	var calls, conns atomic.Int64
+	// Bodies beyond the server's 4 KiB write buffer go out chunked, so
+	// the decoder leaves the newline and the final chunk unread.
+	pad := strings.Repeat("x", 8<<10)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if calls.Add(1)%2 == 0 {
+			w.WriteHeader(http.StatusNotFound)
+			fmt.Fprintf(w, `{"error":{"code":"not_found","message":"no such job %s"}}`+"\n", pad)
+			return
+		}
+		fmt.Fprintf(w, `{"id":"job-000001","state":"done","error":"%s"}`+"\n", pad)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	c := &Client{Base: srv.URL, HTTPClient: &http.Client{Transport: &http.Transport{}}}
+	for i := 0; i < 50; i++ {
+		_, err := c.Status(context.Background(), "job-000001")
+		if (err == nil) != (i%2 == 0) {
+			t.Fatalf("status %d: err=%v", i, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("50 sequential calls opened %d connections, want 1", n)
 	}
 }

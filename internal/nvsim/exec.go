@@ -4,37 +4,38 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
-	"repro/internal/gpu"
 	"repro/internal/sass"
+	"repro/internal/simt"
 )
 
 // latency returns the completion latency for an opcode class.
 func (d *Device) latency(cl sass.Class) int64 {
 	switch cl {
 	case sass.ClassSFU:
-		return int64(d.chip.SFULat)
+		return int64(d.Chip.SFULat)
 	case sass.ClassLocalMem:
-		return int64(d.chip.LocalLat)
+		return int64(d.Chip.LocalLat)
 	case sass.ClassGlobalMem:
-		return int64(d.chip.GlobalLat)
+		return int64(d.Chip.GlobalLat)
 	default:
-		return int64(d.chip.ALULat)
+		return int64(d.Chip.ALULat)
 	}
 }
 
 // depReady returns the cycle at which every register/predicate dependency
 // of the instruction is available.
-func (w *warp) depReady(in *sass.Instr) int64 {
+func depReady(w *warp, in *sass.Instr) int64 {
 	var t int64
 	reg := func(r uint8) {
-		if r != sass.RZ && int(r) < len(w.regReady) && w.regReady[r] > t {
-			t = w.regReady[r]
+		if r != sass.RZ && int(r) < len(w.RegReady) && w.RegReady[r] > t {
+			t = w.RegReady[r]
 		}
 	}
 	pred := func(p uint8) {
-		if p != sass.PT && w.predReady[p] > t {
-			t = w.predReady[p]
+		if p != sass.PT && w.Arch.predReady[p] > t {
+			t = w.Arch.predReady[p]
 		}
 	}
 	pred(in.Guard.Pred)
@@ -59,50 +60,50 @@ func (w *warp) depReady(in *sass.Instr) int64 {
 
 // regIndex maps (warp, lane, architectural register) to the physical
 // register-file entry within the SM.
-func regIndex(w *warp, lc *launchCtx, lane int, r uint8) int {
-	return w.blk.regBase + (w.threadBase+lane)*lc.prog.NumRegs + int(r)
+func (d *Device) regIndex(w *warp, lane int, r uint8) int {
+	return w.Blk.RegBase + (w.ThreadBase+lane)*d.prog.NumRegs + int(r)
 }
 
 // readReg reads an architectural register for one lane.
-func (d *Device) readReg(s *sm, w *warp, lc *launchCtx, lane int, r uint8) uint32 {
+func (d *Device) readReg(s *sm, w *warp, lane int, r uint8) uint32 {
 	if r == sass.RZ {
 		return 0
 	}
-	idx := regIndex(w, lc, lane, r)
-	if t := d.tracer; t != nil {
-		t.RegAccess(s.id, idx, d.cycle, false)
+	idx := d.regIndex(w, lane, r)
+	if t := d.Tracer; t != nil {
+		t.RegAccess(s.ID, idx, d.Cycle, false)
 	}
-	return s.regs[idx]
+	return s.Regs[idx]
 }
 
 // writeReg writes an architectural register for one lane.
-func (d *Device) writeReg(s *sm, w *warp, lc *launchCtx, lane int, r uint8, v uint32) {
+func (d *Device) writeReg(s *sm, w *warp, lane int, r uint8, v uint32) {
 	if r == sass.RZ {
 		return
 	}
-	idx := regIndex(w, lc, lane, r)
-	if t := d.tracer; t != nil {
-		t.RegAccess(s.id, idx, d.cycle, true)
+	idx := d.regIndex(w, lane, r)
+	if t := d.Tracer; t != nil {
+		t.RegAccess(s.ID, idx, d.Cycle, true)
 	}
-	s.regs[idx] = v
+	s.Regs[idx] = v
 }
 
 // readOperand evaluates a source operand for one lane.
-func (d *Device) readOperand(s *sm, w *warp, lc *launchCtx, lane int, o sass.Operand) uint32 {
+func (d *Device) readOperand(s *sm, w *warp, lane int, o sass.Operand) uint32 {
 	switch o.Kind {
 	case sass.OperandReg:
-		return d.readReg(s, w, lc, lane, o.Reg)
+		return d.readReg(s, w, lane, o.Reg)
 	case sass.OperandImm:
 		return o.Imm
 	case sass.OperandConst:
-		return lc.args[o.CIdx]
+		return d.LC.Args[o.CIdx]
 	default:
 		return 0
 	}
 }
 
 // guardMask returns the lanes whose guard predicate holds.
-func (w *warp) guardMask(g sass.Guard) uint32 {
+func (w *warpState) guardMask(g sass.Guard) uint32 {
 	if g.Pred == sass.PT {
 		if g.Neg {
 			return 0
@@ -119,124 +120,99 @@ func (w *warp) guardMask(g sass.Guard) uint32 {
 // unwind pops the SIMT stack while the active mask is empty; it marks the
 // warp done when the stack is exhausted.
 func (d *Device) unwind(s *sm, w *warp) {
-	for w.active == 0 {
-		if len(w.stack) == 0 {
-			d.finishWarp(s, w)
+	st := &w.Arch
+	for st.active == 0 {
+		if len(st.stack) == 0 {
+			d.Finish(s, w)
 			return
 		}
-		e := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		w.pc = e.pc
-		w.active = e.mask &^ w.exited
+		e := st.stack[len(st.stack)-1]
+		st.stack = st.stack[:len(st.stack)-1]
+		w.PC = e.pc
+		st.active = e.mask &^ st.exited
 	}
 }
 
-// finishWarp retires a warp and releases a barrier that was waiting only
-// on already-finished warps.
-func (d *Device) finishWarp(s *sm, w *warp) {
-	if w.done {
-		return
-	}
-	w.done = true
-	blk := w.blk
-	blk.live--
-	s.liveWarp--
-	if blk.live > 0 && blk.arrived >= blk.live {
-		releaseBarrier(blk, d.cycle)
-	}
-}
-
-func releaseBarrier(blk *block, cycle int64) {
-	blk.arrived = 0
-	for _, w := range blk.warps {
-		if !w.done && w.atBarrier {
-			w.atBarrier = false
-			w.wakeAt = cycle
-		}
-	}
-}
-
-// tryIssue attempts to issue the warp's next instruction at the current
-// cycle. It returns (issued, wakeCycle, error); wakeCycle is meaningful
-// when issued is false and indicates when the blocking dependency clears.
-func (d *Device) tryIssue(s *sm, w *warp, lc *launchCtx) (bool, int64, error) {
-	if w.pc < 0 || w.pc >= len(lc.prog.Instrs) {
+// Issue implements simt.ISA: it attempts to issue the warp's next
+// instruction at the current cycle. It returns (issued, wakeCycle,
+// error); wakeCycle is meaningful when issued is false and indicates
+// when the blocking dependency clears.
+func (d *Device) Issue(s *sm, w *warp) (bool, int64, error) {
+	prog := d.prog
+	if w.PC < 0 || w.PC >= len(prog.Instrs) {
 		return false, 0, fmt.Errorf("nvsim: kernel %s: invalid PC %d (warp %d of block %d)",
-			lc.prog.Name, w.pc, w.idx, w.blk.id)
+			prog.Name, w.PC, w.Idx, w.Blk.ID)
 	}
-	in := &lc.prog.Instrs[w.pc]
-	if ready := w.depReady(in); ready > d.cycle {
+	in := &prog.Instrs[w.PC]
+	if ready := depReady(w, in); ready > d.Cycle {
 		return false, ready, nil
 	}
-	exec := w.active & w.guardMask(in.Guard)
+	st := &w.Arch
+	exec := st.active & st.guardMask(in.Guard)
 
-	d.stats.Instructions++
-	d.stats.LaneInstructions += int64(popcount32(exec))
+	d.Counters.Instructions++
+	d.Counters.LaneInstructions += int64(bits.OnesCount32(exec))
 	lat := d.latency(sass.OpClass(in.Op))
 
 	switch in.Op {
 	case sass.OpNOP:
-		w.pc++
+		w.PC++
 
 	case sass.OpEXIT:
-		w.exited |= exec
-		w.active &^= exec
+		st.exited |= exec
+		st.active &^= exec
 		if exec == 0 {
-			w.pc++
-		} else if w.active == 0 {
+			w.PC++
+		} else if st.active == 0 {
 			d.unwind(s, w)
 		} else {
-			w.pc++
+			w.PC++
 		}
 
 	case sass.OpBRA:
 		taken := exec
-		notTaken := w.active &^ taken
+		notTaken := st.active &^ taken
 		switch {
 		case taken == 0:
-			w.pc++
+			w.PC++
 		case notTaken == 0:
-			w.pc = in.Target
+			w.PC = in.Target
 		default:
-			w.stack = append(w.stack, stackEntry{kind: stackDIV, pc: in.Target, mask: taken})
-			w.active = notTaken
-			w.pc++
+			st.stack = append(st.stack, stackEntry{kind: stackDIV, pc: in.Target, mask: taken})
+			st.active = notTaken
+			w.PC++
 		}
 
 	case sass.OpSSY:
-		w.stack = append(w.stack, stackEntry{kind: stackSSY, pc: in.Target, mask: w.active})
-		w.pc++
+		st.stack = append(st.stack, stackEntry{kind: stackSSY, pc: in.Target, mask: st.active})
+		w.PC++
 
 	case sass.OpSYNC:
-		if len(w.stack) == 0 {
+		if len(st.stack) == 0 {
 			return false, 0, fmt.Errorf("nvsim: kernel %s: SYNC with empty SIMT stack at PC %d",
-				lc.prog.Name, w.pc)
+				prog.Name, w.PC)
 		}
-		e := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
-		w.pc = e.pc
-		w.active = e.mask &^ w.exited
-		if w.active == 0 {
+		e := st.stack[len(st.stack)-1]
+		st.stack = st.stack[:len(st.stack)-1]
+		w.PC = e.pc
+		st.active = e.mask &^ st.exited
+		if st.active == 0 {
 			d.unwind(s, w)
 		}
 
 	case sass.OpBAR:
-		w.pc++
-		w.atBarrier = true
-		w.blk.arrived++
-		if w.blk.arrived >= w.blk.live {
-			releaseBarrier(w.blk, d.cycle)
-		}
+		w.PC++
+		d.Barrier(w)
 
 	case sass.OpS2R:
 		for lane := 0; lane < 32; lane++ {
 			if exec&(1<<lane) == 0 {
 				continue
 			}
-			d.writeReg(s, w, lc, lane, in.Dst, d.specialReg(w, lc, lane, in.SR))
+			d.writeReg(s, w, lane, in.Dst, d.specialReg(w, lane, in.SR))
 		}
-		w.regReady[in.Dst] = d.cycle + lat
-		w.pc++
+		w.RegReady[in.Dst] = d.Cycle + lat
+		w.PC++
 
 	case sass.OpISETP, sass.OpFSETP:
 		var setMask uint32
@@ -244,8 +220,8 @@ func (d *Device) tryIssue(s *sm, w *warp, lc *launchCtx) (bool, int64, error) {
 			if exec&(1<<lane) == 0 {
 				continue
 			}
-			a := d.readOperand(s, w, lc, lane, in.Src[0])
-			b := d.readOperand(s, w, lc, lane, in.Src[1])
+			a := d.readOperand(s, w, lane, in.Src[0])
+			b := d.readOperand(s, w, lane, in.Src[1])
 			var res bool
 			if in.Op == sass.OpISETP {
 				res = in.Cmp.EvalI(int32(a), int32(b))
@@ -256,55 +232,55 @@ func (d *Device) tryIssue(s *sm, w *warp, lc *launchCtx) (bool, int64, error) {
 				setMask |= 1 << lane
 			}
 		}
-		w.preds[in.PDst] = (w.preds[in.PDst] &^ exec) | setMask
-		w.predReady[in.PDst] = d.cycle + lat
-		w.pc++
+		st.preds[in.PDst] = (st.preds[in.PDst] &^ exec) | setMask
+		st.predReady[in.PDst] = d.Cycle + lat
+		w.PC++
 
 	case sass.OpLDG, sass.OpSTG:
-		if err := d.execGlobal(s, w, lc, in, exec); err != nil {
+		if err := d.execGlobal(s, w, in, exec); err != nil {
 			return false, 0, err
 		}
 		if in.Op == sass.OpLDG && in.Dst != sass.RZ {
-			w.regReady[in.Dst] = d.cycle + lat
+			w.RegReady[in.Dst] = d.Cycle + lat
 		}
-		w.pc++
+		w.PC++
 
 	case sass.OpLDS, sass.OpSTS:
-		if err := d.execShared(s, w, lc, in, exec); err != nil {
+		if err := d.execShared(s, w, in, exec); err != nil {
 			return false, 0, err
 		}
 		if in.Op == sass.OpLDS && in.Dst != sass.RZ {
-			w.regReady[in.Dst] = d.cycle + lat
+			w.RegReady[in.Dst] = d.Cycle + lat
 		}
-		w.pc++
+		w.PC++
 
 	default: // register-to-register ALU/SFU ops
 		for lane := 0; lane < 32; lane++ {
 			if exec&(1<<lane) == 0 {
 				continue
 			}
-			v := d.execALU(s, w, lc, lane, in)
-			d.writeReg(s, w, lc, lane, in.Dst, v)
+			v := d.execALU(s, w, lane, in)
+			d.writeReg(s, w, lane, in.Dst, v)
 		}
 		if in.Dst != sass.RZ {
-			w.regReady[in.Dst] = d.cycle + lat
+			w.RegReady[in.Dst] = d.Cycle + lat
 		}
-		w.pc++
+		w.PC++
 	}
 
-	if w.pc >= len(lc.prog.Instrs) && !w.done && in.Op != sass.OpEXIT {
+	if w.PC >= len(prog.Instrs) && !w.Done && in.Op != sass.OpEXIT {
 		// Fell off the end of the instruction stream: invalid control
 		// flow (can be reached through fault-corrupted indices only via
 		// EXIT-less paths, which the assembler rejects; keep it fatal).
-		return false, 0, fmt.Errorf("nvsim: kernel %s: control flow fell off program end", lc.prog.Name)
+		return false, 0, fmt.Errorf("nvsim: kernel %s: control flow fell off program end", prog.Name)
 	}
 	return true, 0, nil
 }
 
 // specialReg evaluates S2R for one lane.
-func (d *Device) specialReg(w *warp, lc *launchCtx, lane int, sr sass.SpecialReg) uint32 {
-	t := w.threadBase + lane
-	ntx, nty := lc.group.X, lc.group.Y
+func (d *Device) specialReg(w *warp, lane int, sr sass.SpecialReg) uint32 {
+	t := w.ThreadBase + lane
+	ntx, nty := d.LC.Group.X, d.LC.Group.Y
 	if ntx <= 0 {
 		ntx = 1
 	}
@@ -317,21 +293,21 @@ func (d *Device) specialReg(w *warp, lc *launchCtx, lane int, sr sass.SpecialReg
 	case sass.SRTidY:
 		return uint32((t / ntx) % nty)
 	case sass.SRCtaidX:
-		return uint32(w.blk.ctaX)
+		return uint32(w.Blk.X)
 	case sass.SRCtaidY:
-		return uint32(w.blk.ctaY)
+		return uint32(w.Blk.Y)
 	case sass.SRNTidX:
 		return uint32(ntx)
 	case sass.SRNTidY:
 		return uint32(nty)
 	case sass.SRNCtaidX:
-		x := lc.grid.X
+		x := d.LC.Grid.X
 		if x <= 0 {
 			x = 1
 		}
 		return uint32(x)
 	case sass.SRNCtaidY:
-		y := lc.grid.Y
+		y := d.LC.Grid.Y
 		if y <= 0 {
 			y = 1
 		}
@@ -339,21 +315,21 @@ func (d *Device) specialReg(w *warp, lc *launchCtx, lane int, sr sass.SpecialReg
 	case sass.SRLaneID:
 		return uint32(lane)
 	case sass.SRWarpID:
-		return uint32(w.idx)
+		return uint32(w.Idx)
 	default:
 		return 0
 	}
 }
 
 // execALU computes one ALU/SFU result for one lane.
-func (d *Device) execALU(s *sm, w *warp, lc *launchCtx, lane int, in *sass.Instr) uint32 {
-	a := d.readOperand(s, w, lc, lane, in.Src[0])
+func (d *Device) execALU(s *sm, w *warp, lane int, in *sass.Instr) uint32 {
+	a := d.readOperand(s, w, lane, in.Src[0])
 	var b, c uint32
 	if in.Src[1].Kind != sass.OperandNone {
-		b = d.readOperand(s, w, lc, lane, in.Src[1])
+		b = d.readOperand(s, w, lane, in.Src[1])
 	}
 	if in.Src[2].Kind != sass.OperandNone {
-		c = d.readOperand(s, w, lc, lane, in.Src[2])
+		c = d.readOperand(s, w, lane, in.Src[2])
 	}
 	fa := math.Float32frombits(a)
 	fb := math.Float32frombits(b)
@@ -397,9 +373,9 @@ func (d *Device) execALU(s *sm, w *warp, lc *launchCtx, lane int, in *sass.Instr
 	case sass.OpFMUL:
 		return math.Float32bits(fa * fb)
 	case sass.OpFMIN:
-		return math.Float32bits(fminf(fa, fb))
+		return math.Float32bits(simt.FMin(fa, fb))
 	case sass.OpFMAX:
-		return math.Float32bits(fmaxf(fa, fb))
+		return math.Float32bits(simt.FMax(fa, fb))
 	case sass.OpFFMA:
 		return math.Float32bits(float32(math.FMA(float64(fa), float64(fb), float64(fc))))
 	case sass.OpRCP:
@@ -413,9 +389,9 @@ func (d *Device) execALU(s *sm, w *warp, lc *launchCtx, lane int, in *sass.Instr
 	case sass.OpI2F:
 		return math.Float32bits(float32(int32(a)))
 	case sass.OpF2I:
-		return uint32(f2i(fa))
+		return uint32(simt.F2I(fa))
 	case sass.OpSEL:
-		if w.preds[in.PSrc]&(1<<lane) != 0 || in.PSrc == sass.PT {
+		if w.Arch.preds[in.PSrc]&(1<<lane) != 0 || in.PSrc == sass.PT {
 			return a
 		}
 		return b
@@ -424,71 +400,27 @@ func (d *Device) execALU(s *sm, w *warp, lc *launchCtx, lane int, in *sass.Instr
 	}
 }
 
-// fminf follows GPU semantics: the non-NaN operand wins.
-func fminf(a, b float32) float32 {
-	switch {
-	case a != a:
-		return b
-	case b != b:
-		return a
-	case a < b:
-		return a
-	default:
-		return b
-	}
-}
-
-func fmaxf(a, b float32) float32 {
-	switch {
-	case a != a:
-		return b
-	case b != b:
-		return a
-	case a > b:
-		return a
-	default:
-		return b
-	}
-}
-
-// f2i converts float32 to int32 with saturation (deterministic for NaN
-// and out-of-range inputs, which fault-corrupted data can produce).
-func f2i(f float32) int32 {
-	if f != f {
-		return 0
-	}
-	v := math.Trunc(float64(f))
-	switch {
-	case v > math.MaxInt32:
-		return math.MaxInt32
-	case v < math.MinInt32:
-		return math.MinInt32
-	default:
-		return int32(v)
-	}
-}
-
 // execGlobal performs LDG/STG for all active lanes.
-func (d *Device) execGlobal(s *sm, w *warp, lc *launchCtx, in *sass.Instr, exec uint32) error {
+func (d *Device) execGlobal(s *sm, w *warp, in *sass.Instr, exec uint32) error {
 	for lane := 0; lane < 32; lane++ {
 		if exec&(1<<lane) == 0 {
 			continue
 		}
-		base := d.readReg(s, w, lc, lane, in.MemBase)
+		base := d.readReg(s, w, lane, in.MemBase)
 		addr := base + uint32(in.MemOff)
 		if addr%4 != 0 {
-			return fmt.Errorf("nvsim: kernel %s: misaligned global access %#x (PC %d)", lc.prog.Name, addr, w.pc)
+			return fmt.Errorf("nvsim: kernel %s: misaligned global access %#x (PC %d)", d.prog.Name, addr, w.PC)
 		}
 		if in.Op == sass.OpLDG {
-			v, err := d.mem.Load32(addr)
+			v, err := d.Memory.Load32(addr)
 			if err != nil {
-				return fmt.Errorf("nvsim: kernel %s PC %d: %w", lc.prog.Name, w.pc, err)
+				return fmt.Errorf("nvsim: kernel %s PC %d: %w", d.prog.Name, w.PC, err)
 			}
-			d.writeReg(s, w, lc, lane, in.Dst, v)
+			d.writeReg(s, w, lane, in.Dst, v)
 		} else {
-			v := d.readOperand(s, w, lc, lane, in.Src[0])
-			if err := d.mem.Store32(addr, v); err != nil {
-				return fmt.Errorf("nvsim: kernel %s PC %d: %w", lc.prog.Name, w.pc, err)
+			v := d.readOperand(s, w, lane, in.Src[0])
+			if err := d.Memory.Store32(addr, v); err != nil {
+				return fmt.Errorf("nvsim: kernel %s PC %d: %w", d.prog.Name, w.PC, err)
 			}
 		}
 	}
@@ -497,37 +429,35 @@ func (d *Device) execGlobal(s *sm, w *warp, lc *launchCtx, in *sass.Instr, exec 
 
 // execShared performs LDS/STS for all active lanes against the block's
 // shared-memory window.
-func (d *Device) execShared(s *sm, w *warp, lc *launchCtx, in *sass.Instr, exec uint32) error {
-	blk := w.blk
+func (d *Device) execShared(s *sm, w *warp, in *sass.Instr, exec uint32) error {
+	blk := w.Blk
 	for lane := 0; lane < 32; lane++ {
 		if exec&(1<<lane) == 0 {
 			continue
 		}
-		base := d.readReg(s, w, lc, lane, in.MemBase)
+		base := d.readReg(s, w, lane, in.MemBase)
 		addr := base + uint32(in.MemOff)
 		if addr%4 != 0 {
-			return fmt.Errorf("nvsim: kernel %s: misaligned shared access %#x (PC %d)", lc.prog.Name, addr, w.pc)
+			return fmt.Errorf("nvsim: kernel %s: misaligned shared access %#x (PC %d)", d.prog.Name, addr, w.PC)
 		}
-		if int(addr)+4 > blk.shCount {
+		if int(addr)+4 > blk.LocalCount {
 			return fmt.Errorf("nvsim: kernel %s: shared access %#x beyond block allocation %d (PC %d)",
-				lc.prog.Name, addr, blk.shCount, w.pc)
+				d.prog.Name, addr, blk.LocalCount, w.PC)
 		}
-		phys := blk.shBase + int(addr)
+		phys := blk.LocalBase + int(addr)
 		if in.Op == sass.OpLDS {
-			if t := d.tracer; t != nil {
-				t.LocalAccess(s.id, phys, 4, d.cycle, false)
+			if t := d.Tracer; t != nil {
+				t.LocalAccess(s.ID, phys, 4, d.Cycle, false)
 			}
-			v := binary.LittleEndian.Uint32(s.shared[phys:])
-			d.writeReg(s, w, lc, lane, in.Dst, v)
+			v := binary.LittleEndian.Uint32(s.Local[phys:])
+			d.writeReg(s, w, lane, in.Dst, v)
 		} else {
-			v := d.readOperand(s, w, lc, lane, in.Src[0])
-			if t := d.tracer; t != nil {
-				t.LocalAccess(s.id, phys, 4, d.cycle, true)
+			v := d.readOperand(s, w, lane, in.Src[0])
+			if t := d.Tracer; t != nil {
+				t.LocalAccess(s.ID, phys, 4, d.Cycle, true)
 			}
-			binary.LittleEndian.PutUint32(s.shared[phys:], v)
+			binary.LittleEndian.PutUint32(s.Local[phys:], v)
 		}
 	}
 	return nil
 }
-
-var _ gpu.Device = (*Device)(nil)

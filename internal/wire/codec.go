@@ -148,8 +148,16 @@ func (r *Reader) U8() uint8 {
 	return v[0]
 }
 
-// Bool reads a one-byte bool; any nonzero byte is true.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool reads a one-byte bool. Writer.Bool emits only 0 and 1, so any
+// other byte is corruption; rejecting it keeps every accepted encoding
+// canonical (decoding then re-encoding reproduces the input).
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 && r.err == nil {
+		r.err = fmt.Errorf("%w: bool byte %#x at offset %d", ErrCorrupt, v, r.off-1)
+	}
+	return v == 1
+}
 
 // U32 reads a 32-bit little-endian value.
 func (r *Reader) U32() uint32 {

@@ -117,6 +117,22 @@ func TestScanRecordsStopsOnCallbackError(t *testing.T) {
 	}
 }
 
+// TestBoolRejectsNonCanonicalByte: Writer.Bool emits only 0 and 1, so a
+// reader that accepted other bytes would decode inputs it cannot
+// re-encode byte for byte.
+func TestBoolRejectsNonCanonicalByte(t *testing.T) {
+	r := NewReader([]byte{1, 0, 2})
+	if !r.Bool() || r.Bool() || r.Err() != nil {
+		t.Fatalf("canonical bools: err %v", r.Err())
+	}
+	if r.Bool() || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("bool byte 2: err %v, want ErrCorrupt", r.Err())
+	}
+	if r := NewReader([]byte{2, 0, 0, 0, 1, 0xff}); r.Bools() != nil || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("Bools with byte 0xff: err %v, want ErrCorrupt", r.Err())
+	}
+}
+
 func TestCodecPrimitivesRoundTrip(t *testing.T) {
 	var w Writer
 	w.U8(0xab)

@@ -109,7 +109,7 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 		// cannot grant work; rotate before the caller retries.
 		c.failover(base)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		// Both server generations speak here: the unified envelope
 		// {"error":{"code","message",...}} and the legacy flat string.
@@ -132,6 +132,18 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// maxDrain bounds how much of an unread response body drainClose reads.
+const maxDrain = 64 << 10
+
+// drainClose reads what json.Decoder left of body (at least the
+// trailing newline) before closing it, so the transport can reuse the
+// keep-alive connection. A body with more than maxDrain bytes left is
+// closed undrained, which costs one connection instead of a long read.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	body.Close()
 }
 
 // statusError is a non-2xx protocol answer.

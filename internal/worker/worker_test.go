@@ -3,8 +3,10 @@ package worker
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -244,5 +246,43 @@ func TestClientHeartbeatAgainstQueue(t *testing.T) {
 	alive, err = c.Heartbeat(ctx, "lease-999999")
 	if err != nil || alive {
 		t.Fatalf("unknown lease heartbeat alive=%v err=%v", alive, err)
+	}
+}
+
+// TestClientReusesConnections: json.Decoder stops before the trailing
+// newline of a response, so the client must drain the rest or every
+// call opens a new keep-alive connection. Fifty sequential heartbeats,
+// alternating 2xx answers and 410 error envelopes, must share one.
+func TestClientReusesConnections(t *testing.T) {
+	var calls, conns atomic.Int64
+	// Bodies beyond the server's 4 KiB write buffer go out chunked, so
+	// the decoder leaves the newline and the final chunk unread.
+	pad := strings.Repeat("x", 8<<10)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if calls.Add(1)%2 == 0 {
+			w.WriteHeader(http.StatusGone)
+			fmt.Fprintf(w, `{"error":{"code":"gone","message":"lease expired %s"}}`+"\n", pad)
+			return
+		}
+		fmt.Fprintf(w, `{"ok":true,"note":"%s"}`+"\n", pad)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	c := &Client{Base: srv.URL, HTTPClient: &http.Client{Transport: &http.Transport{}}}
+	for i := 0; i < 50; i++ {
+		alive, err := c.Heartbeat(context.Background(), "lease-1")
+		if err != nil || alive != (i%2 == 0) {
+			t.Fatalf("heartbeat %d: alive=%v err=%v", i, alive, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("50 sequential calls opened %d connections, want 1", n)
 	}
 }
