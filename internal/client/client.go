@@ -135,8 +135,8 @@ const maxDrain = 64 << 10
 
 // drainClose reads what json.Decoder left of body (at least the
 // trailing newline) before closing it, so the transport can reuse the
-// keep-alive connection. A body with more than maxDrain bytes left is
-// closed undrained, which costs one connection instead of a long read.
+// keep-alive connection. Draining is best effort: a body with more
+// than maxDrain bytes left, or a failed read, only costs the connection.
 func drainClose(body io.ReadCloser) {
 	io.Copy(io.Discard, io.LimitReader(body, maxDrain))
 	body.Close()
