@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -20,8 +21,8 @@ import (
 
 	"repro/internal/ace"
 	"repro/internal/chips"
-	"repro/internal/core"
 	"repro/internal/devices"
+	"repro/internal/experiment"
 	"repro/internal/finject"
 	"repro/internal/gpu"
 	"repro/internal/report"
@@ -32,20 +33,36 @@ import (
 
 var benchInjections = flag.Int("repro.n", 60, "fault injections per campaign in figure benchmarks")
 
+// runFigure runs one paper figure's canned spec at the benchmark's
+// injection count and seed on a fresh scheduler, printing its tables on
+// the first iteration.
+func runFigure(b *testing.B, fig int, seed uint64, first bool) *experiment.Result {
+	b.Helper()
+	spec, err := experiment.Figure(fig)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Injections = *benchInjections
+	spec.Seed = seed
+	res, err := (&experiment.Runner{}).Run(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if first {
+		if err := report.WriteExperiment(os.Stdout, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return res
+}
+
 // BenchmarkFig1RegisterFileAVF regenerates Fig. 1: register-file AVF by
 // FI and ACE with occupancy, 10 benchmarks x 4 chips plus averages.
 func BenchmarkFig1RegisterFileAVF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := core.FigureRegisterFile(core.Options{Injections: *benchInjections, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFigure(b, 1, 1, i == 0)
 		if i == 0 {
-			if err := report.WriteFigure(os.Stdout, fig,
-				fmt.Sprintf("Fig. 1 — Register File AVF (%d injections/campaign)", *benchInjections)); err != nil {
-				b.Fatal(err)
-			}
-			reportAverages(b, fig)
+			reportAverages(b, res.Tables[0])
 		}
 	}
 }
@@ -54,16 +71,9 @@ func BenchmarkFig1RegisterFileAVF(b *testing.B) {
 // the 7 shared-memory benchmarks x 4 chips plus averages.
 func BenchmarkFig2LocalMemoryAVF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := core.FigureLocalMemory(core.Options{Injections: *benchInjections, Seed: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFigure(b, 2, 2, i == 0)
 		if i == 0 {
-			if err := report.WriteFigure(os.Stdout, fig,
-				fmt.Sprintf("Fig. 2 — Local Memory AVF (%d injections/campaign)", *benchInjections)); err != nil {
-				b.Fatal(err)
-			}
-			reportAverages(b, fig)
+			reportAverages(b, res.Tables[0])
 		}
 	}
 }
@@ -72,18 +82,12 @@ func BenchmarkFig2LocalMemoryAVF(b *testing.B) {
 // benchmarks on all 4 chips.
 func BenchmarkFig3EPF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		data, err := core.FigureEPF(core.Options{Injections: *benchInjections, Seed: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFigure(b, 3, 3, i == 0)
 		if i == 0 {
-			if err := report.WriteEPF(os.Stdout, data, "Fig. 3 — Executions per Failure (EPF)"); err != nil {
-				b.Fatal(err)
-			}
 			// Summary metric: the paper's EPF range spans orders of
 			// magnitude; report the spread.
 			min, max := 0.0, 0.0
-			for _, row := range data.Rows {
+			for _, row := range res.EPF.Rows {
 				for _, r := range row {
 					if r.EPF <= 0 {
 						continue
@@ -600,14 +604,11 @@ func runCycles(b *testing.B, chip *chips.Chip, bench *workloads.Benchmark) int64
 	return d.Stats().Cycles
 }
 
-func reportAverages(b *testing.B, fig *core.Figure) {
+func reportAverages(b *testing.B, tbl *experiment.Table) {
 	b.Helper()
-	for ci, name := range fig.ChipNames {
-		avg := fig.Averages[ci]
-		_ = name
+	for _, avg := range tbl.Averages {
 		b.ReportMetric(100*avg.AVFFI, "avgAVF-FI-"+shortName(avg.Chip)+"%")
 		b.ReportMetric(100*avg.AVFACE, "avgAVF-ACE-"+shortName(avg.Chip)+"%")
-		_ = ci
 	}
 }
 

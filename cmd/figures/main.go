@@ -5,17 +5,18 @@
 //	figures -fig 3            EPF (executions per failure, both structures)
 //	figures -fig all          everything
 //
-// Beyond the canned figures, any declarative experiment spec runs the
-// same way:
+// Each figure is its canned experiment spec (experiment.Figure), with
+// -chips and -bench as the grid axes and -seed as the spec seed. Any
+// other declarative experiment spec runs the same way:
 //
 //	figures -spec sweep.json                 run a spec locally
 //	figures -spec sweep.json -n 100          ...with a reduced budget
 //	figures -spec sweep.json -server http://host:8080
 //	                                         ...on a fiserver, streamed
 //
-// The figure flags (-fig, -chips, -bench, ...) are themselves compiled
-// into specs internally — a figure run and the equivalent spec run are
-// the same code path and produce byte-identical output.
+// A figure run and the run of the equivalent spec file are the same code
+// path and print byte-identical output: one experiment document per
+// spec, as tables or (with -json) as JSON.
 //
 // Useful knobs: -n (injections per campaign; the paper uses 2000, and it
 // becomes the cap when -margin is set), -margin/-confidence (adaptive
@@ -43,14 +44,11 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/chips"
 	"repro/internal/cli"
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/finject"
 	"repro/internal/report"
-	"repro/internal/workloads"
 )
 
 // errUsage marks argument errors the FlagSet has already reported on
@@ -114,154 +112,111 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		finject.SetLadderDir(*ladderDir)
 	}
 
-	if *specPath != "" {
-		if *serverURL != "" && (*storePath != "" || pf.Workers != 0) {
-			return errors.New("-store and -workers are local-only: with -server the fiserver owns its store and worker pool")
-		}
-		f, err := os.Open(*specPath)
+	if *specPath == "" && *serverURL != "" {
+		return errors.New("-server needs -spec (the canned figures run locally)")
+	}
+	if *serverURL != "" && (*storePath != "" || pf.Workers != 0) {
+		return errors.New("-store and -workers are local-only: with -server the fiserver owns its store and worker pool")
+	}
+	runs, err := plannedRuns(fs, pf, *specPath, *fig, *seed, *chipSel, *benches)
+	if err != nil {
+		return err
+	}
+	return execute(ctx, runs, *serverURL, *storePath, *storeFmt, pf.Workers, *asJSON, stdout, log)
+}
+
+// namedRun is one spec to run, with the phase name its wall time is
+// reported under.
+type namedRun struct {
+	phase string
+	spec  experiment.Spec
+}
+
+// plannedRuns builds the specs of one invocation: the -spec file, or the
+// canned spec of every figure -fig selects with -chips/-bench as its axes
+// and -seed as its seed. Explicitly set policy flags and -seed override
+// either, so CI and quick local runs can shrink a committed spec without
+// editing it.
+func plannedRuns(fs *flag.FlagSet, pf *cli.PolicyFlags, specPath, fig string, seed uint64, chipSel, benches string) ([]namedRun, error) {
+	override := func(spec *experiment.Spec) {
+		fs.Visit(func(fl *flag.Flag) {
+			if !pf.Override(fl.Name, spec) && fl.Name == "seed" {
+				spec.Seed = seed
+			}
+		})
+	}
+	if specPath != "" {
+		f, err := os.Open(specPath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		spec, err := experiment.Parse(f)
 		f.Close()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		// Explicitly set campaign flags override the spec, so CI and
-		// quick local runs can shrink a committed spec without editing
-		// it; the grid axes always come from the file.
-		fs.Visit(func(fl *flag.Flag) {
-			if pf.Override(fl.Name, &spec) {
-				return
-			}
-			if fl.Name == "seed" {
-				spec.Seed = *seed
-			}
-		})
-		return runSpec(ctx, spec, *serverURL, *storePath, *storeFmt, pf.Workers, *asJSON, stdout, log)
+		// The grid axes always come from the file.
+		override(&spec)
+		return []namedRun{{phase: "spec", spec: spec}}, nil
 	}
-	if *serverURL != "" {
-		return errors.New("-server needs -spec (the canned figures run locally)")
+	var figs []int
+	switch fig {
+	case "1", "2", "3":
+		figs = []int{int(fig[0] - '0')}
+	case "all":
+		figs = []int{1, 2, 3}
+	default:
+		return nil, fmt.Errorf("unknown figure %q (want 1, 2, 3 or all)", fig)
 	}
-
-	var store campaign.Store
-	if *storePath != "" {
-		ds, err := campaign.OpenStore(*storePath, *storeFmt)
+	var runs []namedRun
+	for _, n := range figs {
+		spec, err := experiment.Figure(n)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer ds.Close()
-		log.Info("store opened", "path", ds.Path(), "cells", ds.Len())
-		store = ds
+		spec.Seed = seed
+		if chipSel != "" {
+			spec.Chips = splitList(chipSel)
+		}
+		if benches != "" {
+			spec.Benchmarks = splitList(benches)
+		}
+		override(&spec)
+		runs = append(runs, namedRun{phase: fmt.Sprintf("fig %d", n), spec: spec})
 	}
-	sched := campaign.New(campaign.Config{Store: store, CampaignWorkers: pf.Workers})
-	opts := core.Options{
-		Injections: pf.N, Seed: *seed, Workers: pf.Workers,
-		Confidence: pf.Confidence, Margin: pf.Margin, Checkpoint: pf.Checkpoint(), Scheduler: sched,
-	}
-	if *chipSel != "" {
-		for _, name := range strings.Split(*chipSel, ",") {
-			c, err := chips.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			opts.Chips = append(opts.Chips, c)
-		}
-	}
-	if *benches != "" {
-		for _, name := range strings.Split(*benches, ",") {
-			b, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			opts.Benchmarks = append(opts.Benchmarks, b)
-		}
-	}
-
-	run1 := *fig == "1" || *fig == "all"
-	run2 := *fig == "2" || *fig == "all"
-	run3 := *fig == "3" || *fig == "all"
-	if !run1 && !run2 && !run3 {
-		return fmt.Errorf("unknown figure %q (want 1, 2, 3 or all)", *fig)
-	}
-
-	if run1 {
-		start := time.Now()
-		f, err := core.FigureRegisterFileContext(ctx, opts)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Fig. 1 — Register File AVF (FI + ACE), %d injections/campaign", opts.Injections)
-		if err := writeFigure(stdout, f, title, *asJSON); err != nil {
-			return err
-		}
-		wallTime(stdout, log, *asJSON, "fig 1", start)
-	}
-	if run2 {
-		start := time.Now()
-		f, err := core.FigureLocalMemoryContext(ctx, opts)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Fig. 2 — Local Memory AVF (FI + ACE), %d injections/campaign", opts.Injections)
-		if err := writeFigure(stdout, f, title, *asJSON); err != nil {
-			return err
-		}
-		wallTime(stdout, log, *asJSON, "fig 2", start)
-	}
-	if run3 {
-		start := time.Now()
-		f, err := core.FigureEPFContext(ctx, opts)
-		if err != nil {
-			return err
-		}
-		title := "Fig. 3 — Executions per Failure (EPF)"
-		var werr error
-		if *asJSON {
-			werr = report.WriteEPFJSON(stdout, f, title)
-		} else {
-			werr = report.WriteEPF(stdout, f, title)
-		}
-		if werr != nil {
-			return werr
-		}
-		wallTime(stdout, log, *asJSON, "fig 3", start)
-	}
-	st := sched.Stats()
-	log.Info("campaigns done",
-		"runs", st.Runs, "injections", st.Injections,
-		"cached", st.Hits+st.Joins, "upgraded", st.Upgrades, "goldens", st.GoldenRuns)
-	return nil
+	return runs, nil
 }
 
-// writeFigure renders an AVF figure as a table or as JSON.
-func writeFigure(w io.Writer, f *core.Figure, title string, asJSON bool) error {
-	if asJSON {
-		return report.WriteFigureJSON(w, f, title)
+// splitList splits a comma-separated flag value into trimmed names.
+func splitList(v string) []string {
+	names := strings.Split(v, ",")
+	for i, n := range names {
+		names[i] = strings.TrimSpace(n)
 	}
-	return report.WriteFigure(w, f, title)
+	return names
 }
 
-// runSpec executes one declarative experiment spec — locally over a
-// scheduler (honoring -store and -workers) or on a fiserver via the
-// shared client — and renders the result as tables or JSON.
-func runSpec(ctx context.Context, spec experiment.Spec, serverURL, storePath, storeFormat string, workers int, asJSON bool, stdout io.Writer, log *slog.Logger) error {
-	start := time.Now()
-	var res *experiment.Result
+// execute runs the specs in order — on the fiserver at serverURL, or
+// locally over one scheduler (honoring -store and -workers), so later
+// specs reuse every cell earlier ones measured — and renders each
+// result as tables or JSON.
+func execute(ctx context.Context, runs []namedRun, serverURL, storePath, storeFormat string, workers int, asJSON bool, stdout io.Writer, log *slog.Logger) error {
+	var (
+		runSpec func(experiment.Spec) (*experiment.Result, error)
+		sched   *campaign.Scheduler
+	)
 	if serverURL != "" {
 		cl := &client.Client{Base: serverURL}
-		var err error
-		res, err = cl.RunExperiment(ctx, spec, func(ev client.Event) {
-			switch ev.Event {
-			case "job":
-				log.Info("experiment accepted", "name", ev.Name, "job", ev.ID, "cells", ev.Total)
-			case "cell":
-				log.Info("cell done", "done", ev.Done, "total", ev.Total,
-					"chip", ev.Chip, "benchmark", ev.Benchmark, "structure", ev.Structure, "cached", ev.Cached)
-			}
-		})
-		if err != nil {
-			return err
+		runSpec = func(spec experiment.Spec) (*experiment.Result, error) {
+			return cl.RunExperiment(ctx, spec, func(ev client.Event) {
+				switch ev.Event {
+				case "job":
+					log.Info("experiment accepted", "name", ev.Name, "job", ev.ID, "cells", ev.Total)
+				case "cell":
+					log.Info("cell done", "done", ev.Done, "total", ev.Total,
+						"chip", ev.Chip, "benchmark", ev.Benchmark, "structure", ev.Structure, "cached", ev.Cached)
+				}
+			})
 		}
 	} else {
 		var store campaign.Store
@@ -274,7 +229,7 @@ func runSpec(ctx context.Context, spec experiment.Spec, serverURL, storePath, st
 			log.Info("store opened", "path", ds.Path(), "cells", ds.Len())
 			store = ds
 		}
-		sched := campaign.New(campaign.Config{Store: store, CampaignWorkers: workers})
+		sched = campaign.New(campaign.Config{Store: store, CampaignWorkers: workers})
 		runner := &experiment.Runner{
 			Scheduler: sched,
 			OnCell: func(p experiment.Progress) {
@@ -282,26 +237,30 @@ func runSpec(ctx context.Context, spec experiment.Spec, serverURL, storePath, st
 					"cell", p.Spec.String(), "cached", p.Cached)
 			},
 		}
-		var err error
-		res, err = runner.Run(ctx, spec)
+		runSpec = func(spec experiment.Spec) (*experiment.Result, error) { return runner.Run(ctx, spec) }
+	}
+	for _, nr := range runs {
+		start := time.Now()
+		res, err := runSpec(nr.spec)
 		if err != nil {
 			return err
 		}
+		if asJSON {
+			err = report.WriteExperimentJSON(stdout, res)
+		} else {
+			err = report.WriteExperiment(stdout, res)
+		}
+		if err != nil {
+			return err
+		}
+		wallTime(stdout, log, asJSON, nr.phase, start)
+	}
+	if sched != nil {
 		st := sched.Stats()
-		defer log.Info("campaigns done",
+		log.Info("campaigns done",
 			"runs", st.Runs, "injections", st.Injections,
-			"cached", st.Hits+st.Joins, "goldens", st.GoldenRuns)
+			"cached", st.Hits+st.Joins, "upgraded", st.Upgrades, "goldens", st.GoldenRuns)
 	}
-	if asJSON {
-		if err := report.WriteExperimentJSON(stdout, res); err != nil {
-			return err
-		}
-	} else {
-		if err := report.WriteExperiment(stdout, res); err != nil {
-			return err
-		}
-	}
-	wallTime(stdout, log, asJSON, "spec", start)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/experiment"
 	"repro/internal/service"
 )
 
@@ -19,7 +21,7 @@ func TestRunTinyFigure(t *testing.T) {
 	if err := run(context.Background(), args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "Fig. 1") || !strings.Contains(out.String(), "vectoradd") {
+	if !strings.Contains(out.String(), "fig1-register-file-avf — register-file AVF") || !strings.Contains(out.String(), "vectoradd") {
 		t.Fatalf("figure output:\n%s", out.String())
 	}
 	if !strings.Contains(errOut.String(), `msg="campaigns done" runs=1`) {
@@ -33,13 +35,50 @@ func TestRunTinyFigureJSON(t *testing.T) {
 	if err := run(context.Background(), args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	// The JSON document comes first; the wall-time note follows it.
-	var doc map[string]any
+	// One experiment document; the wall-time note goes to the log.
+	var doc struct {
+		Tables []struct {
+			Structure string `json:"structure"`
+		} `json:"tables"`
+	}
 	if err := json.NewDecoder(strings.NewReader(out.String())).Decode(&doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
 	}
-	if doc["structure"] != "local-memory" {
-		t.Fatalf("figure document: %v", doc)
+	if len(doc.Tables) != 1 || doc.Tables[0].Structure != "local-memory" {
+		t.Fatalf("figure document: %+v", doc)
+	}
+}
+
+// TestRunFigureMatchesSpec: -fig N is the canned spec of figure N, so it
+// prints exactly the bytes of -spec on that spec file.
+func TestRunFigureMatchesSpec(t *testing.T) {
+	for fig := 1; fig <= 3; fig++ {
+		spec, err := experiment.Figure(fig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Chips = []string{"Mini NVIDIA", "Mini AMD"}
+		spec.Benchmarks = []string{"reduction", "transpose"}
+		spec.Injections = 20
+		spec.Seed = 6
+		body, err := spec.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := writeMiniSpec(t, string(body))
+
+		var fromFig, fromSpec, errOut strings.Builder
+		figArgs := []string{"-fig", fmt.Sprint(fig), "-chips", "Mini NVIDIA, Mini AMD", "-bench", "reduction,transpose",
+			"-n", "20", "-seed", "6", "-json"}
+		if err := run(context.Background(), figArgs, &fromFig, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(context.Background(), []string{"-spec", path, "-json"}, &fromSpec, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		if fromFig.String() == "" || fromFig.String() != fromSpec.String() {
+			t.Fatalf("fig %d: -fig and -spec output differ:\n-fig:\n%s\n-spec:\n%s", fig, fromFig.String(), fromSpec.String())
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 // Command fiserver serves the campaign orchestration subsystem over
 // HTTP: clients submit batches of fault-injection cells, poll status,
-// fetch results, and run whole figures with streamed progress. All
-// requests share one scheduler and one store, so identical cells are
-// computed once ever — across requests, clients and (with -store)
-// process restarts. Jobs may carry an execution policy (adaptive margin,
-// confidence, injection cap) and figure runs accept margin= and
-// confidence= query parameters.
+// fetch results, and run declarative experiment specs — the paper's
+// figures among them — with streamed progress. All requests share one
+// scheduler and one store, so identical cells are computed once ever —
+// across requests, clients and (with -store) process restarts. Jobs and
+// specs may carry an execution policy (adaptive margin, confidence,
+// injection cap).
 //
 // With -workers-remote the server stops simulating in-process and
 // instead shards cells across a fleet of fiworker processes under
@@ -30,7 +30,7 @@
 //	fiserver -addr :8080 -workers-remote -lease-ttl 30s
 //	fiserver -addr :8080 -api-keys keys.conf -cluster-dir /shared/fi
 //
-//	curl -s localhost:8080/v1/figure?fig=1\&n=100\&margin=0.03 | tail -1
+//	curl -s -X POST localhost:8080/v1/experiments -d '{"name":"fig1-register-file-avf","injections":100,"policy":{"margin":0.03}}' | tail -1
 //	curl -s -X POST localhost:8080/v1/jobs -d '{"cells":[{"chip":"GeForce GTX 480","benchmark":"vectoradd","structure":"register-file","injections":200,"seed":1}],"policy":{"margin":0.05}}'
 //	curl -s localhost:8080/v1/jobs/job-000001
 //	curl -s localhost:8080/v1/jobs/job-000001/result
@@ -56,6 +56,29 @@ import (
 	"repro/internal/finject"
 	"repro/internal/service"
 )
+
+// Connection timeouts of the HTTP server.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a stalled client cannot hold a connection.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes keep-alive connections idle this long.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer builds the http.Server that serves root. ReadTimeout
+// and WriteTimeout stay unset on purpose: an NDJSON experiment stream
+// and a long-polled worker lease legitimately outlive any fixed
+// whole-request deadline, so only the header read and idle keep-alive
+// connections are bounded.
+func newHTTPServer(ctx context.Context, root http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           root,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+	}
+}
 
 // errUsage marks argument errors the FlagSet has already reported on
 // stderr; main exits non-zero without printing them again.
@@ -262,10 +285,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{
-		Handler:     root,
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	srv := newHTTPServer(ctx, root)
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -250,5 +252,42 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-addr", "not-an-address:::"}, &out, &errOut); err == nil {
 		t.Error("bad address accepted")
+	}
+}
+
+// TestServerConnectionTimeouts pins the connection bounds of the server
+// run constructs: header reads and idle keep-alives are bounded, whole
+// requests are not (streams and long polls outlive any fixed deadline),
+// and a client that never finishes its headers is disconnected instead
+// of holding the connection forever.
+func TestServerConnectionTimeouts(t *testing.T) {
+	srv := newHTTPServer(context.Background(), http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 || srv.IdleTimeout != idleTimeout {
+		t.Errorf("IdleTimeout %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout %v, WriteTimeout %v: a whole-request deadline would cut experiment streams and lease long polls",
+			srv.ReadTimeout, srv.WriteTimeout)
+	}
+
+	base, stop := startServer(t)
+	defer stop()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Start a request and stall before the blank line ending the headers.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: fiserver\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client still connected %v after the header timeout: %v", 10*time.Second, err)
 	}
 }

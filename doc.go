@@ -14,7 +14,8 @@
 //   - internal/finject, internal/ace: the two reliability methodologies;
 //   - internal/metrics, internal/protect: AVF/FIT/EIT/EPF and protection
 //     what-if analysis;
-//   - internal/core, internal/report: figure-level experiment drivers.
+//   - internal/experiment, internal/report: declarative experiment specs
+//     (the three figures are canned ones), their runner and renderers.
 //
 // See README.md for usage, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for measured-vs-paper results.

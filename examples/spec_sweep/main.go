@@ -1,5 +1,5 @@
 // spec_sweep: experiments as data. The protection what-if sweep in
-// protection_whatif.json — a scenario the figure drivers never offered —
+// protection_whatif.json — a scenario no canned figure covers —
 // runs end to end from its JSON spec: a chips x benchmarks x structures
 // FI grid, per-cell FIT, the EPF metric of Fig. 3, and four protection
 // configurations (unprotected, parity on the register file, SECDED on

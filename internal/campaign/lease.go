@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,6 +117,12 @@ type LeaseQueue struct {
 	ttl time.Duration
 	now func() time.Time
 
+	// idPrefix makes this queue's lease ids unique across queues: after
+	// a cluster failover a worker may complete a lease of the dead
+	// owner against its successor, whose own counter restarts, and a
+	// bare counter id would hand that result to a different cell.
+	idPrefix string
+
 	mu        sync.Mutex
 	seq       int
 	nextLease int
@@ -159,6 +166,7 @@ func NewLeaseQueue(ttl time.Duration) *LeaseQueue {
 	return &LeaseQueue{
 		ttl:               ttl,
 		now:               time.Now,
+		idPrefix:          fmt.Sprintf("lease-%08x-", rand.Uint32()),
 		entries:           make(map[CellKey]*leaseEntry),
 		leased:            make(map[string]*leaseEntry),
 		history:           make(map[string]leaseOutcome),
@@ -345,7 +353,7 @@ func (q *LeaseQueue) Lease(worker string, max int) []Lease {
 	leases := make([]Lease, 0, len(take))
 	for _, e := range take {
 		q.nextLease++
-		e.leaseID = fmt.Sprintf("lease-%06d", q.nextLease)
+		e.leaseID = fmt.Sprintf("%s%06d", q.idPrefix, q.nextLease)
 		e.worker = worker
 		e.deadline = now.Add(q.ttl)
 		q.leased[e.leaseID] = e

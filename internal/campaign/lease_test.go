@@ -277,6 +277,25 @@ func TestCompleteUnknownLease(t *testing.T) {
 	if err := q.Complete("lease-999999", fakeResult(1), ""); !errors.Is(err, ErrUnknownLease) {
 		t.Fatalf("err %v, want ErrUnknownLease", err)
 	}
+
+	// A lease of another queue — a dead cluster owner's, completed
+	// against its successor — is unknown here too, even though both
+	// queues minted their first lease: it must not land on this queue's
+	// cell.
+	other, _ := newTestQueue(time.Minute)
+	doAsync(other, Task{Spec: testSpec(3, 10)})
+	stale := waitLease(t, other, "w1", 1)[0]
+	doAsync(q, Task{Spec: testSpec(4, 10)})
+	live := waitLease(t, q, "w1", 1)[0]
+	if stale.ID == live.ID {
+		t.Fatalf("two queues minted the same lease id %q", live.ID)
+	}
+	if err := q.Complete(stale.ID, fakeResult(1), ""); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("foreign lease %q: err %v, want ErrUnknownLease", stale.ID, err)
+	}
+	if st := q.Stats(); st.Leased != 1 || st.Completed != 0 {
+		t.Fatalf("foreign completion touched this queue: %+v", st)
+	}
 }
 
 func TestWorkerFailurePropagates(t *testing.T) {

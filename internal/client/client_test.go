@@ -90,21 +90,21 @@ func TestRunExperimentServerError(t *testing.T) {
 }
 
 // TestStatusCodeExtraction pins the non-2xx contract: every API call
-// surfaces the server's status through StatusCode and its JSON error
-// body through Error, and transport failures answer 0.
+// surfaces the server's status through StatusCode and the message of
+// its error envelope through Error, and transport failures answer 0.
 func TestStatusCodeExtraction(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		switch r.URL.Path {
 		case "/v1/jobs/job-000404":
 			w.WriteHeader(http.StatusNotFound)
-			fmt.Fprintln(w, `{"error":"no such job"}`)
+			fmt.Fprintln(w, `{"error":{"code":"not_found","message":"no such job"}}`)
 		case "/v1/jobs/job-000409/result":
 			w.WriteHeader(http.StatusConflict)
-			fmt.Fprintln(w, `{"error":"job still running"}`)
+			fmt.Fprintln(w, `{"error":{"code":"conflict","message":"job still running","job_id":"job-000409"}}`)
 		case "/v1/experiments":
 			w.WriteHeader(http.StatusBadRequest)
-			fmt.Fprintln(w, `{"error":"bad spec"}`)
+			fmt.Fprintln(w, `{"error":{"code":"bad_request","message":"bad spec"}}`)
 		}
 	}))
 	defer ts.Close()
@@ -181,7 +181,7 @@ func TestWaitDoneAuthoritativeError(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusNotFound)
-		fmt.Fprintln(w, `{"error":"no such job"}`)
+		fmt.Fprintln(w, `{"error":{"code":"not_found","message":"no such job"}}`)
 	}))
 	defer ts.Close()
 
@@ -353,31 +353,6 @@ func TestCancelAndHealthy(t *testing.T) {
 	}
 	if err := c.Healthy(context.Background()); err != nil {
 		t.Fatalf("healthy: %v", err)
-	}
-}
-
-// TestFigureStream covers the deprecated figure shim: raw document on
-// success, stream error mapped to a client error.
-func TestFigureStream(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("fig") != "1" {
-			t.Errorf("fig param %q", r.URL.Query().Get("fig"))
-		}
-		fmt.Fprintln(w, `{"event":"cell","done":1,"total":1}`)
-		fmt.Fprintln(w, `{"event":"result","fig":"1","figure":{"rows":[1,2,3]}}`)
-	}))
-	defer ts.Close()
-
-	c := &Client{Base: ts.URL}
-	fig, err := c.Figure(context.Background(), 1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Rows []int `json:"rows"`
-	}
-	if err := json.Unmarshal(fig, &doc); err != nil || len(doc.Rows) != 3 {
-		t.Fatalf("figure doc %s: %v", fig, err)
 	}
 }
 

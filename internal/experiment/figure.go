@@ -12,9 +12,9 @@ import (
 //	2 — local-memory AVF, FI + ACE, the 7 shared-memory benchmarks
 //	3 — EPF over both structures, FI only, all 10 benchmarks
 //
-// The returned spec is normalized; running it through a Runner produces
-// exactly the cells (and, via internal/core's shims, exactly the bytes)
-// of the corresponding figure driver.
+// The returned spec is normalized. Running it through a Runner is the
+// one way the figures are computed: cmd/figures -fig, POST
+// /v1/experiments and the examples all do exactly that.
 func Figure(fig int) (Spec, error) {
 	var s Spec
 	switch fig {

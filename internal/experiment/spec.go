@@ -9,10 +9,9 @@
 //
 // The three paper figures are canned specs (Figure); every other
 // scenario — occupancy sweeps, protection what-ifs, cross-estimator
-// comparisons — is a JSON file, not new Go code. Cell identity is shared
-// with the figure drivers in internal/core (which are shims over this
-// package), so a store warmed by any spec serves every other spec that
-// touches the same cells.
+// comparisons — is a JSON file, not new Go code. Cell identity is
+// content-addressed, so a store warmed by any spec serves every other
+// spec that touches the same cells.
 package experiment
 
 import (
@@ -152,13 +151,21 @@ type Spec struct {
 }
 
 // Parse strictly decodes one JSON spec: unknown fields are rejected so a
-// typo (or a v2 field) cannot silently change an experiment's meaning.
+// typo (or a v2 field) cannot silently change an experiment's meaning,
+// and so is anything but whitespace after the spec, so a concatenated
+// second spec or trailing garbage cannot be silently dropped.
 func Parse(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("experiment: parse spec: %w", err)
+	}
+	switch tok, err := dec.Token(); {
+	case err == nil:
+		return Spec{}, fmt.Errorf("experiment: parse spec: unexpected %v after the spec", tok)
+	case err != io.EOF:
+		return Spec{}, fmt.Errorf("experiment: parse spec: after the spec: %w", err)
 	}
 	return s, nil
 }
@@ -201,6 +208,22 @@ func (s Spec) Normalize() Spec {
 	}
 	if (s.Metrics.EPF || s.Metrics.FIT || len(s.Metrics.Protection) > 0) && s.Metrics.RawFITPerMbit <= 0 {
 		s.Metrics.RawFITPerMbit = defaultRawFIT
+	}
+	// An empty protection or scheme list describes (and serializes as)
+	// the same experiment as an absent one, so both normalize to nil.
+	// The list is copied, never edited in place: s shares it with the
+	// caller.
+	if len(s.Metrics.Protection) == 0 {
+		s.Metrics.Protection = nil
+	} else {
+		prot := make([]Protection, len(s.Metrics.Protection))
+		for i, p := range s.Metrics.Protection {
+			if len(p.Schemes) == 0 {
+				p.Schemes = nil
+			}
+			prot[i] = p
+		}
+		s.Metrics.Protection = prot
 	}
 	return s
 }
@@ -340,33 +363,9 @@ func (s Spec) Compile() (*Plan, error) {
 			return nil, err
 		}
 	}
-	return s.compileWith(cs, bs)
-}
-
-// CompileWith lowers the spec over explicit chip and benchmark sets,
-// bypassing the name registries; the spec's own axes are replaced by the
-// given sets. It exists for internal/core's legacy Options shims, whose
-// callers pass chip and benchmark pointers (possibly unregistered ones).
-func (s Spec) CompileWith(cs []*chips.Chip, bs []*workloads.Benchmark) (*Plan, error) {
-	s.Chips = s.Chips[:0:0]
-	for _, c := range cs {
-		s.Chips = append(s.Chips, c.Name)
-	}
-	s.Benchmarks = s.Benchmarks[:0:0]
-	for _, b := range bs {
-		s.Benchmarks = append(s.Benchmarks, b.Name)
-	}
-	s = s.Normalize()
-	if len(cs) == 0 || len(bs) == 0 {
-		return nil, fmt.Errorf("experiment: empty chip or benchmark set")
-	}
-	return s.compileWith(cs, bs)
-}
-
-// compileWith builds the plan. The cell order is the figure drivers'
-// batch order — benchmark-major, then chip, then structure — so shared
-// schedulers interleave identically either way.
-func (s Spec) compileWith(cs []*chips.Chip, bs []*workloads.Benchmark) (*Plan, error) {
+	// The cell order is the figures' historical batch order —
+	// benchmark-major, then chip, then structure — so shared schedulers
+	// interleave identically whichever surface submitted the spec.
 	p := &Plan{Spec: s, Chips: cs, Benchmarks: bs}
 	for bi, b := range bs {
 		for ci, c := range cs {
@@ -385,7 +384,7 @@ func (s Spec) compileWith(cs []*chips.Chip, bs []*workloads.Benchmark) (*Plan, e
 // campaignFor builds the canonical campaign of one cell. This is the
 // single place cell identity is minted: equal (seed, chip, benchmark,
 // structure, injections) always produce equal campaign.CellKeys, whether
-// the cell came from a spec, a figure driver or a CLI flag set.
+// the cell came from a spec file, a canned figure or a CLI flag set.
 func (s Spec) campaignFor(chip *chips.Chip, bench *workloads.Benchmark, st gpu.Structure) finject.Campaign {
 	c := finject.Campaign{
 		Chip:       chip,
@@ -401,8 +400,8 @@ func (s Spec) campaignFor(chip *chips.Chip, bench *workloads.Benchmark, st gpu.S
 
 // CellSeed derives a distinct campaign seed per cell (FNV-style mixing)
 // so that cells never share fault samples. It is the seed derivation the
-// figure drivers have always used; stores written by them stay warm for
-// spec runs and vice versa.
+// figures have always used, so stores written before the specs existed
+// stay warm.
 func CellSeed(base uint64, chip, bench string, st gpu.Structure) uint64 {
 	h := base ^ 0xcbf29ce484222325
 	mix := func(s string) {

@@ -50,18 +50,69 @@ func TestFigureSpecGoldens(t *testing.T) {
 }
 
 // TestParseRejectsUnknownFields: a typo must not silently change an
-// experiment's meaning.
+// experiment's meaning, and neither may trailing data: a second
+// concatenated spec or garbage after the spec is an error, not ignored.
 func TestParseRejectsUnknownFields(t *testing.T) {
 	cases := []string{
 		`{"version": 1, "injctions": 500}`,
 		`{"version": 1, "metrics": {"epff": true}}`,
 		`{"version": 1, "policy": {"margn": 0.05}}`,
+		`{"seed": 1} garbage`,
+		`{"seed": 1} {"seed": 2}`,
+		`{"seed": 1} }`,
+		`{"seed": 1}]`,
+		`{"seed": 1} 2`,
 	}
 	for _, c := range cases {
 		if _, err := ParseBytes([]byte(c)); err == nil {
-			t.Errorf("spec %s parsed despite unknown field", c)
+			t.Errorf("spec %s parsed despite unknown field or trailing data", c)
 		}
 	}
+	// Trailing whitespace is not data.
+	s, err := ParseBytes([]byte("{\"seed\": 1}\n\t \n"))
+	if err != nil || s.Seed != 1 {
+		t.Fatalf("spec with trailing whitespace: %+v, %v", s, err)
+	}
+}
+
+// FuzzParseSpec: Parse never panics on any input; whatever it accepts
+// normalizes idempotently, and an accepted spec that validates survives
+// its canonical form (MarshalIndent, Parse, Normalize) unchanged.
+func FuzzParseSpec(f *testing.F) {
+	for _, name := range []string{"fig1.json", "fig2.json", "fig3.json", "compat_v1_checkpoint.json", "compat_v1_nocheckpoint.json"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	// Empty lists describe the same experiment as absent ones.
+	f.Add([]byte(`{"chips": [], "metrics": {"protection": [{"name": "base", "schemes": []}]}}`))
+	f.Add([]byte(`{"structures": ["register-file", "local-memory"], "estimator": "fi", "metrics": {"protection": []}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseBytes(data)
+		if err != nil {
+			return
+		}
+		norm := s.Normalize()
+		if again := norm.Normalize(); !reflect.DeepEqual(again, norm) {
+			t.Fatalf("Normalize not idempotent:\n%+v\nvs\n%+v", norm, again)
+		}
+		if _, err := s.Validate(); err != nil {
+			return
+		}
+		canon, err := s.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseBytes(canon)
+		if err != nil {
+			t.Fatalf("canonical form does not parse: %v\n%s", err, canon)
+		}
+		if got := back.Normalize(); !reflect.DeepEqual(got, norm) {
+			t.Fatalf("canonical round trip changed the spec:\n%+v\nvs\n%+v\n%s", got, norm, canon)
+		}
+	})
 }
 
 // TestNormalizeIdempotent: Normalize must be a projection, and equal
@@ -188,7 +239,7 @@ func TestFigureDefaults(t *testing.T) {
 }
 
 // TestPlanShape: the compiled grid must be benchmark-major, then chip,
-// then structure — the figure drivers' batch order.
+// then structure — the figures' historical batch order.
 func TestPlanShape(t *testing.T) {
 	s := Spec{
 		Chips:      []string{"Mini NVIDIA", "Mini AMD"},

@@ -1,3 +1,6 @@
+// Package report renders experiment results as text tables — one AVF
+// table per structure, then the EPF and protection tables, matching the
+// content of the paper's three figures — or as one JSON document.
 package report
 
 import (

@@ -118,6 +118,17 @@ func TestExperimentEndpointRejects(t *testing.T) {
 		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
 	}
 
+	// A second concatenated spec is rejected, not silently dropped.
+	resp, err = ts.Client().Post(ts.URL+"/v1/experiments", "application/json",
+		strings.NewReader(`{"version":1,"seed":1} {"version":1,"seed":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 400 {
+		t.Fatalf("concatenated specs: status %d, want 400", resp.StatusCode)
+	}
+
 	// Unsupported version.
 	v2 := miniExperimentSpec()
 	v2.Version = 99

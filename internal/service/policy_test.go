@@ -117,8 +117,7 @@ func TestJobPolicyMaxInjections(t *testing.T) {
 	}
 }
 
-// TestJobPolicyValidation: out-of-range policies are rejected up front,
-// matching the figure endpoint's rules.
+// TestJobPolicyValidation: out-of-range policies are rejected up front.
 func TestJobPolicyValidation(t *testing.T) {
 	srv, _ := newTestServer(t)
 	ts := httptest.NewServer(srv)
@@ -133,33 +132,5 @@ func TestJobPolicyValidation(t *testing.T) {
 	} {
 		req := map[string]any{"cells": []campaign.CellSpec{testutil.MiniSpec("vectoradd", 9)}, "policy": policy}
 		testutil.PostJSON(t, ts.URL, "/v1/jobs", req, nil, http.StatusBadRequest)
-	}
-}
-
-// TestFigureAdaptiveQuery drives a figure run with margin/confidence
-// query parameters.
-func TestFigureAdaptiveQuery(t *testing.T) {
-	srv, sched := newTestServer(t)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	var last map[string]any
-	code := testutil.GetJSON(t, ts.URL, "/v1/figure?fig=1&n=600&margin=0.1&chips=Mini+NVIDIA&bench=vectoradd&stream=0", &last)
-	if code != http.StatusOK {
-		t.Fatalf("figure status %d", code)
-	}
-	st := sched.Stats()
-	if st.Runs != 1 {
-		t.Fatalf("stats %+v, want one campaign", st)
-	}
-	if st.Injections <= 0 || st.Injections >= 600 {
-		t.Fatalf("figure campaign executed %d injections, want adaptive stop below 600", st.Injections)
-	}
-
-	if testutil.GetJSON(t, ts.URL, "/v1/figure?fig=1&margin=2", nil) != http.StatusBadRequest {
-		t.Fatal("bad margin accepted")
-	}
-	if testutil.GetJSON(t, ts.URL, "/v1/figure?fig=1&confidence=0", nil) != http.StatusBadRequest {
-		t.Fatal("bad confidence accepted")
 	}
 }

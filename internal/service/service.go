@@ -1,8 +1,9 @@
 // Package service implements the fiserver HTTP API: asynchronous
 // campaign-batch jobs (submit / status / result / cancel), streamed
-// whole-figure experiments, and scheduler statistics — all JSON over
-// net/http, sharing one campaign.Scheduler so every client benefits from
-// every other client's finished cells.
+// declarative experiments (the paper's figures among them), and
+// scheduler statistics — all JSON over net/http, sharing one
+// campaign.Scheduler so every client benefits from every other client's
+// finished cells.
 //
 // Endpoints:
 //
@@ -14,10 +15,6 @@
 //	                             finished one from the retained set
 //	POST   /v1/experiments       run a declarative experiment spec,
 //	                             streaming NDJSON progress + result
-//	GET    /v1/figure            run Fig. 1/2/3, streaming NDJSON progress
-//	                             (deprecated: a shim over the spec runner;
-//	                             new clients POST the figure spec to
-//	                             /v1/experiments instead)
 //	GET    /v1/stats             scheduler counters and store size
 //	GET    /healthz              liveness probe
 //
@@ -29,26 +26,28 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/campaign"
-	"repro/internal/chips"
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/finject"
 	"repro/internal/telemetry"
-	"repro/internal/workloads"
 )
 
 // maxRetainedJobs bounds the finished jobs kept for result retrieval;
 // the oldest finished jobs are evicted first.
 const maxRetainedJobs = 256
+
+// maxRequestBody bounds the client request bodies of POST /v1/jobs and
+// POST /v1/experiments. The largest legitimate bodies — one spec, or a
+// batch of thousands of cell specs — stay well under a MiB; a body past
+// this bound answers 413 and is not read further.
+const maxRequestBody = 8 << 20
 
 // Server is the fiserver request handler. Create one with NewServer and
 // mount it as an http.Handler. ServeWorkers adds the remote-worker lease
@@ -145,7 +144,6 @@ func NewServer(sched *campaign.Scheduler) *Server {
 	s.handle("GET /v1/jobs/{id}/result", s.handleResult)
 	s.handle("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.handle("POST /v1/experiments", s.handleExperiment)
-	s.handle("GET /v1/figure", s.handleFigure)
 	s.handle("GET /v1/stats", s.handleStats)
 	s.mux.Handle("GET /metrics", telemetry.Handler())
 	s.handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -240,7 +238,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // errorBody is the unified /v1 error envelope. Every non-2xx JSON
-// answer — jobs, experiments, figures and the worker protocol — has the
+// answer — jobs, experiments and the worker protocol — has the
 // shape {"error":{"code","message","job_id"}}: a stable machine-readable
 // code derived from the status, the human-readable message, and the job
 // the error concerns when one exists. Streamed NDJSON error *events*
@@ -265,6 +263,8 @@ func errorCode(status int) string {
 		return "gone"
 	case http.StatusUnauthorized:
 		return "unauthorized"
+	case http.StatusRequestEntityTooLarge:
+		return "too_large"
 	case http.StatusTooManyRequests:
 		return "quota_exceeded"
 	case http.StatusServiceUnavailable:
@@ -272,6 +272,16 @@ func errorCode(status int) string {
 	default:
 		return "error"
 	}
+}
+
+// bodyStatus maps a request-body decode failure onto its status: 413
+// when the body overran maxRequestBody, 400 for anything else.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // httpError writes the error envelope with no job attribution.
@@ -323,8 +333,8 @@ type submitRequest struct {
 // asynchronously.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+		httpError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	if len(req.Cells) == 0 {
@@ -332,8 +342,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p := req.Policy; p != nil {
-		// Same legality rules as the figure endpoint's query parameters;
-		// zero values mean "default", so only genuinely out-of-range
+		// Zero values mean "default", so only genuinely out-of-range
 		// policies are rejected. Normalize owns the rules (and the exact
 		// error text, which is part of the API).
 		norm, err := p.Normalize()
@@ -722,197 +731,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		body["workers"] = s.queue.Stats()
 	}
 	writeJSON(w, http.StatusOK, body)
-}
-
-// figureOptions parses the shared figure query parameters.
-func figureOptions(r *http.Request, sched *campaign.Scheduler) (core.Options, error) {
-	opts := core.Options{Scheduler: sched}
-	q := r.URL.Query()
-	if v := q.Get("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return opts, fmt.Errorf("bad n %q", v)
-		}
-		opts.Injections = n
-	}
-	if v := q.Get("margin"); v != "" {
-		m, err := strconv.ParseFloat(v, 64)
-		if err != nil || m < 0 || m >= 1 {
-			return opts, fmt.Errorf("bad margin %q", v)
-		}
-		opts.Margin = m
-	}
-	if v := q.Get("confidence"); v != "" {
-		cl, err := strconv.ParseFloat(v, 64)
-		if err != nil || cl <= 0 || cl >= 1 {
-			return opts, fmt.Errorf("bad confidence %q", v)
-		}
-		opts.Confidence = cl
-	}
-	if v := q.Get("seed"); v != "" {
-		seed, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return opts, fmt.Errorf("bad seed %q", v)
-		}
-		opts.Seed = seed
-	}
-	if v := q.Get("chips"); v != "" {
-		for _, name := range strings.Split(v, ",") {
-			c, err := chips.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return opts, err
-			}
-			opts.Chips = append(opts.Chips, c)
-		}
-	}
-	if v := q.Get("bench"); v != "" {
-		for _, name := range strings.Split(v, ",") {
-			b, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return opts, err
-			}
-			opts.Benchmarks = append(opts.Benchmarks, b)
-		}
-	}
-	return opts, nil
-}
-
-// figureEvent is one NDJSON line of the figure stream.
-type figureEvent struct {
-	Event     string `json:"event"` // "cell" or "result"
-	Chip      string `json:"chip,omitempty"`
-	Benchmark string `json:"benchmark,omitempty"`
-	Structure string `json:"structure,omitempty"`
-	Cached    bool   `json:"cached,omitempty"`
-	Done      int    `json:"done,omitempty"`
-	Total     int    `json:"total,omitempty"`
-	Fig       string `json:"fig,omitempty"`
-	Figure    any    `json:"figure,omitempty"`
-	Error     string `json:"error,omitempty"`
-}
-
-// handleFigure runs one of the paper's figures through the shared
-// scheduler, streaming per-cell progress as NDJSON lines followed by one
-// final result event. Query: fig=1|2|3 plus n, seed, chips, bench and
-// stream=0 to suppress progress lines.
-//
-// Deprecated: the endpoint is a backward-compatibility shim — the core
-// figure drivers it calls compile their options into experiment specs
-// and run through the spec runner, so its output is byte-identical to
-// the pre-redesign path (see TestFigureEndpointCompat) while new
-// clients POST the equivalent spec to /v1/experiments.
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	figNum := 0
-	switch r.URL.Query().Get("fig") {
-	case "1":
-		figNum = 1
-	case "2":
-		figNum = 2
-	case "3":
-		figNum = 3
-	default:
-		httpError(w, http.StatusBadRequest, "fig must be 1, 2 or 3")
-		return
-	}
-	opts, err := figureOptions(r, s.sched)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	stream := r.URL.Query().Get("stream") != "0"
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// emitMu also guards closed: once the handler returns, a late
-	// scheduler notification must not touch the recycled ResponseWriter.
-	var (
-		emitMu sync.Mutex
-		closed bool
-	)
-	emit := func(ev figureEvent) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if closed {
-			return
-		}
-		enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	defer func() {
-		emitMu.Lock()
-		closed = true
-		emitMu.Unlock()
-	}()
-
-	if stream {
-		// This figure's exact work list: progress is restricted to these
-		// keys (the scheduler is shared, so other requests' cells also
-		// notify) and each unique cell counts once even though prewarm
-		// batches and per-cell assembly both touch the scheduler.
-		specs, err := core.FigureCells(figNum, opts)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		total := 0
-		pending := make(map[campaign.CellKey]bool, len(specs))
-		for _, spec := range specs {
-			if !pending[spec.Key()] {
-				pending[spec.Key()] = true
-				total++
-			}
-		}
-		var seenMu sync.Mutex
-		done := 0
-		unsub := s.sched.Subscribe(func(p campaign.Progress) {
-			seenMu.Lock()
-			if !pending[p.Key] {
-				seenMu.Unlock()
-				return
-			}
-			delete(pending, p.Key)
-			done++
-			d := done
-			seenMu.Unlock()
-			emit(figureEvent{
-				Event:     "cell",
-				Chip:      p.Spec.Chip,
-				Benchmark: p.Spec.Benchmark,
-				Structure: p.Spec.Structure.String(),
-				Cached:    p.Cached,
-				Done:      d,
-				Total:     total,
-			})
-		})
-		defer unsub()
-	}
-
-	// Figure runs are not registered jobs, but they still get a job
-	// correlation id so their cells are greppable across the fleet.
-	s.mu.Lock()
-	s.nextID++
-	figID := newJobID("fig", s.nextID)
-	s.mu.Unlock()
-	ctx := telemetry.WithJob(r.Context(), figID)
-	s.log.InfoContext(ctx, "figure run", "fig", figNum)
-	var result any
-	switch figNum {
-	case 1:
-		result, err = core.FigureRegisterFileContext(ctx, opts)
-	case 2:
-		result, err = core.FigureLocalMemoryContext(ctx, opts)
-	case 3:
-		result, err = core.FigureEPFContext(ctx, opts)
-	}
-	if err != nil {
-		s.log.WarnContext(ctx, "figure failed", "fig", figNum, "err", err)
-		emit(figureEvent{Event: "error", Error: err.Error()})
-		return
-	}
-	s.log.InfoContext(ctx, "figure done", "fig", figNum)
-	emit(figureEvent{Event: "result", Fig: strconv.Itoa(figNum), Figure: result})
 }

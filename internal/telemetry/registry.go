@@ -7,7 +7,7 @@
 //
 // The layer is provably inert: metrics are plain atomic counters that
 // never touch result data, tracing and logging are off unless installed,
-// and the differential suite (core.TestFigureJSONTelemetryEquivalence,
+// and the differential suite (experiment's TestFigureJSONTelemetryEquivalence,
 // finject's record-stream equivalence test) asserts that figure JSON and
 // per-injection record streams are byte-identical with every observer
 // running versus none.

@@ -111,22 +111,15 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode/100 != 2 {
-		// Both server generations speak here: the unified envelope
-		// {"error":{"code","message",...}} and the legacy flat string.
+		// The server answers with its error envelope
+		// {"error":{"code","message",...}}.
 		var e struct {
-			Error json.RawMessage `json:"error"`
+			Error struct {
+				Message string `json:"message"`
+			} `json:"error"`
 		}
 		json.NewDecoder(resp.Body).Decode(&e)
-		msg := ""
-		if json.Unmarshal(e.Error, &msg) != nil {
-			var env struct {
-				Message string `json:"message"`
-			}
-			if json.Unmarshal(e.Error, &env) == nil {
-				msg = env.Message
-			}
-		}
-		return &statusError{code: resp.StatusCode, msg: msg}
+		return &statusError{code: resp.StatusCode, msg: e.Error.Message}
 	}
 	if out == nil {
 		return nil

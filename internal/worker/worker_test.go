@@ -249,6 +249,24 @@ func TestClientHeartbeatAgainstQueue(t *testing.T) {
 	}
 }
 
+// TestClientEnvelopeError: a non-2xx protocol answer surfaces the
+// status through errStatus and the message of the server's error
+// envelope through Error.
+func TestClientEnvelopeError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		fmt.Fprintln(w, `{"error":{"code":"bad_request","message":"unknown lease \"lease-7\""}}`)
+	}))
+	defer srv.Close()
+
+	c := &Client{Base: srv.URL, Name: "w1"}
+	err := c.Complete(context.Background(), "lease-7", nil, "boom")
+	if errStatus(err) != http.StatusBadRequest || !strings.Contains(err.Error(), `unknown lease "lease-7"`) {
+		t.Fatalf("err = %v (status %d), want the envelope's message with status 400", err, errStatus(err))
+	}
+}
+
 // TestClientReusesConnections: json.Decoder stops before the trailing
 // newline of a response, so the client must drain the rest or every
 // call opens a new keep-alive connection. Fifty sequential heartbeats,
