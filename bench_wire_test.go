@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -34,31 +33,25 @@ func benchCellResult(n int) *finject.Result {
 	return res
 }
 
-// benchSeedStores writes the same cells to a JSON-lines and a binary
-// store, returning both paths.
-func benchSeedStores(b *testing.B, dir string, cells, perCell int) (jsonPath, binPath string) {
+// benchSeedStore writes the given number of detailed cell results to a
+// fresh store and returns its path.
+func benchSeedStore(b *testing.B, dir string, cells, perCell int) string {
 	b.Helper()
-	jsonPath = filepath.Join(dir, "cells.jsonl")
-	binPath = filepath.Join(dir, "cells.store")
-	for _, tc := range []struct{ path, format string }{
-		{jsonPath, campaign.FormatJSON},
-		{binPath, campaign.FormatBinary},
-	} {
-		st, err := campaign.OpenStore(tc.path, tc.format)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < cells; i++ {
-			key := campaign.CellSpec{Chip: "Mini NVIDIA", Benchmark: "matrixMul", Seed: uint64(i)}.Key()
-			if err := st.Put(key, benchCellResult(perCell)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := st.Close(); err != nil {
+	path := filepath.Join(dir, "cells.store")
+	st, err := campaign.OpenStore(path, campaign.FormatBinary)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < cells; i++ {
+		key := campaign.CellSpec{Chip: "Mini NVIDIA", Benchmark: "matrixMul", Seed: uint64(i)}.Key()
+		if err := st.Put(key, benchCellResult(perCell)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return jsonPath, binPath
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return path
 }
 
 // BenchmarkWireEncodeDecode measures the wire codec round trip for one
@@ -82,43 +75,25 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	b.SetBytes(int64(len(frame)))
 }
 
-// BenchmarkBinaryStoreOpen contrasts cold-opening (index rebuild) of the
-// two store formats over identical contents, and reports their on-disk
-// sizes — the axis the wire format exists to win.
+// BenchmarkBinaryStoreOpen measures cold-opening a store: reading the
+// file and rebuilding its in-memory index.
 func BenchmarkBinaryStoreOpen(b *testing.B) {
-	dir := b.TempDir()
-	jsonPath, binPath := benchSeedStores(b, dir, 40, 400)
-	js, err := os.Stat(jsonPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs, err := os.Stat(binPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("on-disk: json %d bytes, binary %d bytes (%.2fx smaller)",
-		js.Size(), bs.Size(), float64(js.Size())/float64(bs.Size()))
-
-	for _, tc := range []struct{ name, path string }{
-		{"json", jsonPath},
-		{"binary", binPath},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var cells int
-			for i := 0; i < b.N; i++ {
-				st, err := campaign.OpenStore(tc.path, campaign.FormatAuto)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cells = st.Len()
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
+	path := benchSeedStore(b, b.TempDir(), 40, 400)
+	b.Run("binary", func(b *testing.B) {
+		var cells int
+		for i := 0; i < b.N; i++ {
+			st, err := campaign.OpenStore(path, campaign.FormatBinary)
+			if err != nil {
+				b.Fatal(err)
 			}
-			if cells != 40 {
-				b.Fatalf("store holds %d cells, want 40", cells)
+			cells = st.Len()
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(cells), "cells")
-		})
-	}
+		}
+		if cells != 40 {
+			b.Fatalf("store holds %d cells, want 40", cells)
+		}
+		b.ReportMetric(float64(cells), "cells")
+	})
 }

@@ -78,7 +78,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		benches   = fs.String("bench", "", "comma-separated benchmark subset (default: figure-appropriate suite)")
 		chipSel   = fs.String("chips", "", "comma-separated chip subset (default: the paper's four)")
 		storePath = fs.String("store", "", "result store path (in-memory only when empty)")
-		storeFmt  = fs.String("store-format", campaign.FormatAuto, "store file format: auto (sniff existing files, JSON for new), json, or binary")
 		ladderDir = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
 		asJSON    = fs.Bool("json", false, "emit figures as JSON instead of tables")
 		specPath  = fs.String("spec", "", "run this experiment spec (JSON) instead of a canned figure")
@@ -122,7 +121,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return execute(ctx, runs, *serverURL, *storePath, *storeFmt, pf.Workers, *asJSON, stdout, log)
+	return execute(ctx, runs, *serverURL, *storePath, pf.Workers, *asJSON, stdout, log)
 }
 
 // namedRun is one spec to run, with the phase name its wall time is
@@ -200,7 +199,7 @@ func splitList(v string) []string {
 // locally over one scheduler (honoring -store and -workers), so later
 // specs reuse every cell earlier ones measured — and renders each
 // result as tables or JSON.
-func execute(ctx context.Context, runs []namedRun, serverURL, storePath, storeFormat string, workers int, asJSON bool, stdout io.Writer, log *slog.Logger) error {
+func execute(ctx context.Context, runs []namedRun, serverURL, storePath string, workers int, asJSON bool, stdout io.Writer, log *slog.Logger) error {
 	var (
 		runSpec func(experiment.Spec) (*experiment.Result, error)
 		sched   *campaign.Scheduler
@@ -221,7 +220,7 @@ func execute(ctx context.Context, runs []namedRun, serverURL, storePath, storeFo
 	} else {
 		var store campaign.Store
 		if storePath != "" {
-			ds, err := campaign.OpenStore(storePath, storeFormat)
+			ds, err := campaign.OpenStore(storePath, campaign.FormatBinary)
 			if err != nil {
 				return err
 			}
@@ -266,7 +265,7 @@ func execute(ctx context.Context, runs []namedRun, serverURL, storePath, storeFo
 
 // wallTime reports a phase's wall-clock time: appended to the tables in
 // human mode, routed to the structured log under -json so the machine
-// output stays a comparable JSON document (the store-format CI smoke
+// output stays a comparable JSON document (the store smoke job in CI
 // diffs it byte for byte).
 func wallTime(stdout io.Writer, log *slog.Logger, asJSON bool, phase string, start time.Time) {
 	d := time.Since(start).Round(time.Millisecond)

@@ -222,7 +222,7 @@ func TestRunSpecErrors(t *testing.T) {
 func TestRunSpecServerRejectsLocalFlags(t *testing.T) {
 	path := writeMiniSpec(t, miniProtectionSpec)
 	for _, args := range [][]string{
-		{"-spec", path, "-server", "http://localhost:1", "-store", "/tmp/x.jsonl"},
+		{"-spec", path, "-server", "http://localhost:1", "-store", "/tmp/x.store"},
 		{"-spec", path, "-server", "http://localhost:1", "-workers", "4"},
 	} {
 		var out, errOut strings.Builder

@@ -25,8 +25,8 @@
 // active owner, standbys answer 503, and a standby seizes ownership
 // (and resumes the dead owner's jobs) when heartbeats go stale.
 //
-//	fiserver -addr :8080 -store cells.jsonl
-//	fiserver -addr :8080 -store cells.jsonl -job-store jobs.jsonl
+//	fiserver -addr :8080 -store cells.store
+//	fiserver -addr :8080 -store cells.store -job-store jobs.jsonl
 //	fiserver -addr :8080 -workers-remote -lease-ttl 30s
 //	fiserver -addr :8080 -api-keys keys.conf -cluster-dir /shared/fi
 //
@@ -104,7 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
 		storePath = fs.String("store", "", "result store path (in-memory only when empty)")
-		storeFmt  = fs.String("store-format", campaign.FormatAuto, "store file format: auto (sniff existing files, JSON for new), json, or binary")
 		ladderDir = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
 		jobStore  = fs.String("job-store", "", "write-ahead job journal path; jobs survive restart and unfinished ones resume on boot")
 		memCap    = fs.Int("mem-cap", 0, "in-memory store capacity in cells (0 = unbounded; ignored with -store)")
@@ -170,7 +169,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	activate := func() (http.Handler, error) {
 		var store campaign.Store
 		if *storePath != "" {
-			ds, err := campaign.OpenStore(*storePath, *storeFmt)
+			ds, err := campaign.OpenStore(*storePath, campaign.FormatBinary)
 			if err != nil {
 				return nil, err
 			}

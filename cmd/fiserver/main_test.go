@@ -77,7 +77,7 @@ func startServer(t *testing.T, extraArgs ...string) (string, func()) {
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	store := filepath.Join(t.TempDir(), "cells.jsonl")
+	store := filepath.Join(t.TempDir(), "cells.store")
 	base, stop := startServer(t, "-store", store)
 	defer stop()
 

@@ -1,25 +1,26 @@
-// Command fistore inspects, verifies and converts the on-disk files of
-// the campaign fleet: result stores (JSON lines or the binary wire
-// format) and binary checkpoint-ladder files.
+// Command fistore inspects and verifies the wire-format files of the
+// campaign fleet — result stores and checkpoint-ladder files — and
+// migrates JSON-lines result stores written by older versions.
 //
-//	fistore inspect cells.store        header, record counts, dedupe ratio
-//	fistore verify  cells.store        full structural + checksum check
-//	fistore convert -to binary cells.jsonl cells.store
-//	fistore convert -to json   cells.store cells.jsonl
+//	fistore inspect cells.store              header, record counts, dedupe ratio
+//	fistore verify  cells.store              full structural + checksum check
+//	fistore convert cells.jsonl cells.store  one-time JSON-lines migration
 //
 // inspect and verify are strictly read-only (they never compact or
-// truncate, unlike opening a store for campaigning). convert copies the
-// live records of a store into a fresh file of the other format and then
-// proves the copy by re-reading both files and comparing every record.
+// truncate, unlike opening a store for campaigning). convert reads a
+// JSON-lines store, writes its live cells to a fresh wire-format store
+// and then proves the copy by re-opening it and comparing every cell.
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/campaign"
 	"repro/internal/finject"
@@ -39,7 +40,7 @@ func main() {
 }
 
 func usage(stderr io.Writer) error {
-	fmt.Fprintln(stderr, "usage: fistore inspect <file> | verify <file> | convert -to json|binary <src> <dst>")
+	fmt.Fprintln(stderr, "usage: fistore inspect <file> | verify <file> | convert <src.jsonl> <dst.store>")
 	return errUsage
 }
 
@@ -60,100 +61,65 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return verify(args[1], stdout)
 	case "convert":
-		fs := flag.NewFlagSet("fistore convert", flag.ContinueOnError)
-		fs.SetOutput(stderr)
-		to := fs.String("to", "", "target store format: json or binary")
-		if err := fs.Parse(args[1:]); err != nil {
-			if errors.Is(err, flag.ErrHelp) {
-				return nil
-			}
-			return errUsage
-		}
-		if fs.NArg() != 2 || (*to != campaign.FormatJSON && *to != campaign.FormatBinary) {
+		if len(args) != 3 {
 			return usage(stderr)
 		}
-		return convert(fs.Arg(0), fs.Arg(1), *to, stdout)
+		return convert(args[1], args[2], stdout)
 	default:
 		return usage(stderr)
 	}
 }
 
-// inspect prints a read-only summary of any fleet file.
-func inspect(path string, w io.Writer) error {
+// readWire reads a wire-format file and parses its header.
+func readWire(path string) ([]byte, wire.FileKind, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	if !wire.IsWireFile(data) {
-		return inspectJSONStore(path, data, w)
+		return nil, 0, fmt.Errorf("%s is not a wire-format file (a JSON-lines store needs a one-time migration: fistore convert %s <new.store>)", path, path)
 	}
 	kind, _, err := wire.ParseHeader(data)
 	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Fprintf(w, "%s: wire v%d %s file, %d bytes\n", path, data[4], kind, len(data))
-	switch kind {
-	case wire.FileStore:
-		return inspectBinaryStore(path, data, w)
-	case wire.FileLadder:
-		return inspectLadder(path, data, w)
-	}
-	return nil
+	return data, kind, nil
 }
 
-// inspectJSONStore summarizes a JSON-lines result store without opening
-// it for writing (no compaction, no torn-tail truncation).
-func inspectJSONStore(path string, data []byte, w io.Writer) error {
-	live := map[campaign.CellKey]bool{}
-	records, torn := 0, false
-	rest := data
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			torn = true
-			break
-		}
-		if raw := bytes.TrimSpace(rest[:nl]); len(raw) > 0 {
-			key, _, err := campaign.DecodeJSONRecord(raw)
-			if err != nil {
-				return fmt.Errorf("%s record %d: %w", path, records+1, err)
-			}
-			live[key] = true
-			records++
-		}
-		rest = rest[nl+1:]
-	}
-	fmt.Fprintf(w, "%s: JSON-lines store, %d bytes\n", path, len(data))
-	fmt.Fprintf(w, "  records   %d (%d live, %d dead)\n", records, len(live), records-len(live))
-	if torn {
-		fmt.Fprintln(w, "  torn tail (unterminated final record; healed on next open)")
-	}
-	return nil
-}
-
-// inspectBinaryStore summarizes a wire-format result store.
-func inspectBinaryStore(path string, data []byte, w io.Writer) error {
-	live := map[campaign.CellKey]bool{}
-	records := 0
-	good, err := wire.ScanRecords(data, func(rec wire.Record) error {
-		if rec.Kind != wire.RecCell {
-			return nil
-		}
-		r := wire.NewReader(rec.Payload)
-		key := campaign.CellKey(r.String())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		live[key] = true
+// scanStore counts the cell records of a store file's bytes, and the
+// distinct keys among them.
+func scanStore(path string, data []byte) (records, live, good int, err error) {
+	keys := map[campaign.CellKey]bool{}
+	good, err = campaign.ScanStore(data, func(key campaign.CellKey, _ *finject.Result) error {
+		keys[key] = true
 		records++
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return 0, 0, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Fprintf(w, "  records   %d (%d live, %d dead)\n", records, len(live), records-len(live))
-	if good < len(data) {
-		fmt.Fprintf(w, "  torn tail (%d trailing bytes; healed on next open)\n", len(data)-good)
+	return records, len(keys), good, nil
+}
+
+// inspect prints a read-only summary of any fleet file.
+func inspect(path string, w io.Writer) error {
+	data, kind, err := readWire(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s: wire v%d %s file, %d bytes\n", path, data[4], kind, len(data))
+	switch kind {
+	case wire.FileStore:
+		records, live, good, err := scanStore(path, data)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  records   %d (%d live, %d dead)\n", records, live, records-live)
+		if good < len(data) {
+			fmt.Fprintf(w, "  torn tail (%d trailing bytes; healed on next open)\n", len(data)-good)
+		}
+	case wire.FileLadder:
+		return inspectLadder(path, data, w)
 	}
 	return nil
 }
@@ -209,36 +175,15 @@ func inspectLadder(path string, data []byte, w io.Writer) error {
 
 // verify fully checks a file: framing, checksums, and record decodes.
 func verify(path string, w io.Writer) error {
-	data, err := os.ReadFile(path)
+	data, kind, err := readWire(path)
 	if err != nil {
 		return err
 	}
-	if !wire.IsWireFile(data) {
-		return verifyJSONStore(path, data, w)
-	}
-	kind, _, err := wire.ParseHeader(data)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
 	switch kind {
 	case wire.FileStore:
-		records := 0
-		good, err := wire.ScanRecords(data, func(rec wire.Record) error {
-			if rec.Kind != wire.RecCell {
-				return nil
-			}
-			r := wire.NewReader(rec.Payload)
-			if key := r.String(); key == "" {
-				return fmt.Errorf("%w: record at offset %d has an empty key", wire.ErrCorrupt, rec.Off)
-			}
-			if _, err := finject.DecodeResult(r); err != nil {
-				return fmt.Errorf("record at offset %d: %w", rec.Off, err)
-			}
-			records++
-			return nil
-		})
+		records, _, good, err := scanStore(path, data)
 		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+			return err
 		}
 		if good < len(data) {
 			fmt.Fprintf(w, "%s: ok, %d records (torn tail of %d bytes; healed on next open)\n", path, records, len(data)-good)
@@ -257,53 +202,76 @@ func verify(path string, w io.Writer) error {
 	return fmt.Errorf("%s: unknown wire file kind", path)
 }
 
-// verifyJSONStore decodes every line of a JSON store.
-func verifyJSONStore(path string, data []byte, w io.Writer) error {
-	records := 0
-	rest := data
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			fmt.Fprintf(w, "%s: ok, %d records (torn tail of %d bytes; healed on next open)\n", path, records, len(rest))
-			return nil
-		}
-		if raw := bytes.TrimSpace(rest[:nl]); len(raw) > 0 {
-			if _, _, err := campaign.DecodeJSONRecord(raw); err != nil {
-				return fmt.Errorf("%s record %d: %w", path, records+1, err)
-			}
-			records++
-		}
-		rest = rest[nl+1:]
-	}
-	fmt.Fprintf(w, "%s: ok, %d records\n", path, records)
-	return nil
+// jsonRow is one line of the JSON-lines store format that older
+// versions wrote; convert is its only reader.
+type jsonRow struct {
+	Key    campaign.CellKey `json:"key"`
+	Result *finject.Result  `json:"result"`
 }
 
-// convert copies the live records of the store at src into a fresh dst
-// file of the target format, then re-reads both files and proves every
-// record survived the round trip.
-func convert(src, dst, format string, w io.Writer) error {
+// readJSONLines indexes a JSON-lines store by the rules its writer
+// guaranteed: each row is one write of record+newline, so blank lines
+// are skipped, an unterminated final line is a torn append (skipped and
+// reported through torn), a malformed terminated line is corruption, and
+// a later row for a key shadows an earlier one.
+func readJSONLines(path string) (idx map[campaign.CellKey]*finject.Result, rows, torn int, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	if head, _ := br.Peek(len(wire.Magic)); wire.IsWireFile(head) {
+		return nil, 0, 0, fmt.Errorf("%s is already a wire-format store", path)
+	}
+	idx = map[campaign.CellKey]*finject.Result{}
+	for line := 1; ; line++ {
+		raw, err := br.ReadBytes('\n')
+		if errors.Is(err, io.EOF) {
+			return idx, rows, len(raw), nil
+		}
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		raw = bytes.TrimSpace(raw)
+		if len(raw) == 0 {
+			continue
+		}
+		var row jsonRow
+		if err := json.Unmarshal(raw, &row); err != nil {
+			return nil, 0, 0, fmt.Errorf("%s line %d: %w", path, line, err)
+		}
+		if row.Key == "" || row.Result == nil {
+			return nil, 0, 0, fmt.Errorf("%s line %d: incomplete record", path, line)
+		}
+		idx[row.Key] = row.Result
+		rows++
+	}
+}
+
+// convert migrates the JSON-lines store at src into a fresh wire-format
+// store at dst, then re-opens dst and proves every cell survived.
+func convert(src, dst string, w io.Writer) error {
 	if _, err := os.Stat(dst); err == nil {
 		return fmt.Errorf("%s already exists (refusing to overwrite)", dst)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	from, err := campaign.OpenStore(src, campaign.FormatAuto)
+	idx, rows, torn, err := readJSONLines(src)
 	if err != nil {
 		return err
 	}
-	defer from.Close()
-	to, err := campaign.OpenStore(dst, format)
+	to, err := campaign.OpenStore(dst, campaign.FormatBinary)
 	if err != nil {
 		return err
 	}
-	for _, k := range from.Keys() {
-		res, ok, err := from.Get(k)
-		if err != nil || !ok {
-			to.Close()
-			return fmt.Errorf("read %s from %s: ok=%v err=%v", k, src, ok, err)
-		}
-		if err := to.Put(k, res); err != nil {
+	keys := make([]campaign.CellKey, 0, len(idx))
+	for k := range idx {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		if err := to.Put(k, idx[k]); err != nil {
 			to.Close()
 			return err
 		}
@@ -312,18 +280,15 @@ func convert(src, dst, format string, w io.Writer) error {
 		return err
 	}
 
-	// Prove the conversion: a fresh open of dst must contain exactly the
-	// records of src.
-	check, err := campaign.OpenStore(dst, campaign.FormatAuto)
+	check, err := campaign.OpenStore(dst, campaign.FormatBinary)
 	if err != nil {
 		return fmt.Errorf("re-open converted store: %w", err)
 	}
 	defer check.Close()
-	if check.Len() != from.Len() {
-		return fmt.Errorf("converted store holds %d cells, source holds %d", check.Len(), from.Len())
+	if check.Len() != len(idx) {
+		return fmt.Errorf("converted store holds %d cells, source holds %d", check.Len(), len(idx))
 	}
-	for _, k := range from.Keys() {
-		want, _, _ := from.Get(k)
+	for k, want := range idx {
 		got, ok, err := check.Get(k)
 		if err != nil || !ok {
 			return fmt.Errorf("converted store is missing cell %s", k)
@@ -332,15 +297,19 @@ func convert(src, dst, format string, w io.Writer) error {
 			return fmt.Errorf("cell %s does not round-trip", k)
 		}
 	}
+	if torn > 0 {
+		fmt.Fprintf(w, "%s: skipped a torn final line of %d bytes\n", src, torn)
+	}
 	sb, _ := os.Stat(src)
 	db, _ := os.Stat(dst)
-	fmt.Fprintf(w, "%s (%d bytes) -> %s (%s, %d bytes): %d cells converted and verified\n",
-		src, sb.Size(), dst, format, db.Size(), from.Len())
+	fmt.Fprintf(w, "%s (%d bytes, %d rows) -> %s (%d bytes): %d cells converted and verified\n",
+		src, sb.Size(), rows, dst, db.Size(), len(idx))
 	return nil
 }
 
 // resultsEqual compares two results field by field, treating nil and
-// empty detail slices as equal (JSON and wire encode them the same way).
+// empty detail slices as equal (the wire format encodes both the same
+// way).
 func resultsEqual(a, b *finject.Result) bool {
 	if a.Outcomes != b.Outcomes || a.Injections != b.Injections ||
 		a.GoldenStats != b.GoldenStats || a.Occupancy != b.Occupancy ||

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -38,12 +40,12 @@ func testResult(i int) *finject.Result {
 	return res
 }
 
-// seedStore populates a fresh store file in the given format.
-func seedStore(t *testing.T, path, format string, n int) {
+// seedStore populates a fresh store file.
+func seedStore(t *testing.T, path string, n int) {
 	t.Helper()
-	st, err := campaign.OpenStore(path, format)
+	st, err := campaign.OpenStore(path, campaign.FormatBinary)
 	if err != nil {
-		t.Fatalf("OpenStore(%s): %v", format, err)
+		t.Fatalf("OpenStore: %v", err)
 	}
 	for i := 0; i < n; i++ {
 		if err := st.Put(testKey(byte(i)), testResult(i)); err != nil {
@@ -55,82 +57,139 @@ func seedStore(t *testing.T, path, format string, n int) {
 	}
 }
 
-func TestConvertJSONToBinaryAndBack(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "cells.jsonl")
-	seedStore(t, src, campaign.FormatJSON, 5)
+// legacyFixture is a JSON-lines store written by the last version that
+// wrote them: figures -spec examples/spec_sweep/protection_whatif.json
+// -n 40 -store legacy.jsonl.
+const legacyFixture = "testdata/legacy.jsonl"
 
-	bin := filepath.Join(dir, "cells.store")
+// convertAndCheck converts src and proves, independently of convert's
+// own verification, that every cell of src round-trips into dst.
+func convertAndCheck(t *testing.T, src, dst string) string {
+	t.Helper()
 	var out bytes.Buffer
-	if err := run([]string{"convert", "-to", "binary", src, bin}, &out, &out); err != nil {
-		t.Fatalf("convert to binary: %v\n%s", err, out.String())
+	if err := run([]string{"convert", src, dst}, &out, &out); err != nil {
+		t.Fatalf("convert: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "5 cells converted and verified") {
-		t.Fatalf("convert output = %q", out.String())
-	}
-
-	back := filepath.Join(dir, "back.jsonl")
-	out.Reset()
-	if err := run([]string{"convert", "-to", "json", bin, back}, &out, &out); err != nil {
-		t.Fatalf("convert back to json: %v\n%s", err, out.String())
-	}
-
-	// The full JSON -> binary -> JSON loop must preserve every record.
-	a, err := campaign.OpenStore(src, campaign.FormatAuto)
+	want, _, _, err := readJSONLines(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	b, err := campaign.OpenStore(back, campaign.FormatAuto)
+	st, err := campaign.OpenStore(dst, campaign.FormatBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	if a.Len() != b.Len() {
-		t.Fatalf("round trip lost cells: %d != %d", a.Len(), b.Len())
+	defer st.Close()
+	if st.Len() != len(want) {
+		t.Fatalf("converted store holds %d cells, source %d", st.Len(), len(want))
 	}
-	for _, k := range a.Keys() {
-		x, _, _ := a.Get(k)
-		y, ok, _ := b.Get(k)
-		if !ok || !resultsEqual(x, y) {
-			t.Fatalf("cell %s did not survive the round trip", k)
+	for k, res := range want {
+		got, ok, _ := st.Get(k)
+		if !ok || !resultsEqual(res, got) {
+			t.Fatalf("cell %s did not survive the conversion", k)
 		}
+	}
+	return out.String()
+}
+
+func TestConvertLegacyFixture(t *testing.T) {
+	dir := t.TempDir()
+	out := convertAndCheck(t, legacyFixture, filepath.Join(dir, "cells.store"))
+	if !strings.Contains(out, "8 rows") || !strings.Contains(out, "8 cells converted and verified") || strings.Contains(out, "torn") {
+		t.Fatalf("convert output = %q", out)
+	}
+
+	// A copy killed mid-append ends in an unterminated line: convert
+	// skips and reports it, and keeps every complete row.
+	data, err := os.ReadFile(legacyFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	torn := filepath.Join(dir, "torn.jsonl")
+	if err := os.WriteFile(torn, data[:last+(len(data)-last)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = convertAndCheck(t, torn, filepath.Join(dir, "torn.store"))
+	if !strings.Contains(out, "skipped a torn final line") || !strings.Contains(out, "7 cells converted and verified") {
+		t.Fatalf("torn convert output = %q", out)
+	}
+
+	// Later rows shadow earlier ones; blank lines are skipped; a
+	// malformed complete line is corruption.
+	var first jsonRow
+	if err := json.Unmarshal(data[:bytes.IndexByte(data, '\n')], &first); err != nil {
+		t.Fatal(err)
+	}
+	first.Result.Injections++
+	later, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := filepath.Join(dir, "shadow.jsonl")
+	if err := os.WriteFile(shadow, append(append(append([]byte(nil), data...), "\n"...), append(later, '\n')...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	shadowStore := filepath.Join(dir, "shadow.store")
+	out = convertAndCheck(t, shadow, shadowStore)
+	if !strings.Contains(out, "9 rows") || !strings.Contains(out, "8 cells converted") {
+		t.Fatalf("shadow convert output = %q", out)
+	}
+	st, err := campaign.OpenStore(shadowStore, campaign.FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok, _ := st.Get(first.Key)
+	st.Close()
+	if !ok || got.Injections != first.Result.Injections {
+		t.Fatalf("later row did not shadow the earlier one: ok=%v got %+v", ok, got)
+	}
+	bad := filepath.Join(dir, "bad.jsonl")
+	if err := os.WriteFile(bad, append([]byte("{not json\n"), data...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"convert", bad, filepath.Join(dir, "bad.store")}, &buf, &buf); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("malformed row: err = %v", err)
 	}
 }
 
 func TestConvertRefusesOverwrite(t *testing.T) {
 	dir := t.TempDir()
-	src := filepath.Join(dir, "cells.jsonl")
-	seedStore(t, src, campaign.FormatJSON, 1)
+	dst := filepath.Join(dir, "cells.store")
+	seedStore(t, dst, 1)
 	var out bytes.Buffer
-	if err := run([]string{"convert", "-to", "binary", src, src}, &out, &out); err == nil {
+	if err := run([]string{"convert", legacyFixture, dst}, &out, &out); err == nil {
 		t.Fatal("convert over an existing file should fail")
+	}
+	// A wire-format store is no conversion source.
+	if err := run([]string{"convert", dst, filepath.Join(dir, "again.store")}, &out, &out); err == nil {
+		t.Fatal("convert of a wire-format store should fail")
 	}
 }
 
 func TestInspectAndVerifyStores(t *testing.T) {
-	dir := t.TempDir()
-	for _, tc := range []struct {
-		format, file, want string
-	}{
-		{campaign.FormatJSON, "cells.jsonl", "JSON-lines store"},
-		{campaign.FormatBinary, "cells.store", "wire v1 store file"},
-	} {
-		path := filepath.Join(dir, tc.file)
-		seedStore(t, path, tc.format, 3)
-		var out bytes.Buffer
-		if err := run([]string{"inspect", path}, &out, &out); err != nil {
-			t.Fatalf("inspect %s: %v", tc.format, err)
-		}
-		if !strings.Contains(out.String(), tc.want) || !strings.Contains(out.String(), "3 live") {
-			t.Fatalf("inspect %s output = %q", tc.format, out.String())
-		}
-		out.Reset()
-		if err := run([]string{"verify", path}, &out, &out); err != nil {
-			t.Fatalf("verify %s: %v", tc.format, err)
-		}
-		if !strings.Contains(out.String(), "ok, 3 records") {
-			t.Fatalf("verify %s output = %q", tc.format, out.String())
+	path := filepath.Join(t.TempDir(), "cells.store")
+	seedStore(t, path, 3)
+	var out bytes.Buffer
+	if err := run([]string{"inspect", path}, &out, &out); err != nil {
+		t.Fatalf("inspect: %v", err)
+	}
+	if !strings.Contains(out.String(), "wire v1 store file") || !strings.Contains(out.String(), "3 live") {
+		t.Fatalf("inspect output = %q", out.String())
+	}
+	out.Reset()
+	if err := run([]string{"verify", path}, &out, &out); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if !strings.Contains(out.String(), "ok, 3 records") {
+		t.Fatalf("verify output = %q", out.String())
+	}
+	// A JSON-lines store is no longer read in place: both commands name
+	// the migration instead.
+	for _, cmd := range []string{"inspect", "verify"} {
+		err := run([]string{cmd, legacyFixture}, &out, &out)
+		if err == nil || !strings.Contains(err.Error(), "fistore convert "+legacyFixture) {
+			t.Fatalf("%s of a JSON-lines store: err = %v", cmd, err)
 		}
 	}
 }
@@ -142,6 +201,7 @@ func TestUsageErrors(t *testing.T) {
 		{"bogus"},
 		{"inspect"},
 		{"convert", "-to", "yaml", "a", "b"},
+		{"convert", "a"},
 	} {
 		if err := run(args, &out, &out); err == nil {
 			t.Fatalf("run(%v) should fail", args)

@@ -1,6 +1,6 @@
 // Package campaign is the orchestration layer over the fault-injection
 // engine: content-addressed identities for campaign cells, pluggable
-// result stores (in-memory LRU and JSON-lines disk), and a deduplicating,
+// result stores (in-memory LRU and wire-format disk), and a deduplicating,
 // cancelable scheduler that shares golden reference runs across
 // structures. It turns "run a figure" into "schedule, cache and serve
 // campaign cells": identical cells are computed once ever, concurrent

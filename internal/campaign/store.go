@@ -1,12 +1,8 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"container/list"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -91,83 +87,98 @@ func (m *MemoryStore) Len() int {
 	return m.ll.Len()
 }
 
-// DiskStore is a persistent Store: one JSON record per line, appended on
-// Put, with the whole file indexed in memory on open. Later records for
-// the same key shadow earlier ones, so overwrites are appends too — the
-// file is only rewritten by Compact, which OpenDiskStore invokes
-// automatically once the dead records pass CompactDeadThreshold.
+// DiskStore is the persistent Store: an append-only file of
+// length-prefixed, CRC-protected wire frames, one per Put, with the
+// whole file indexed in memory on open. Later frames for the same key
+// shadow earlier ones, so overwrites are appends too — the file is only
+// rewritten by Compact, which OpenStore invokes automatically once the
+// dead frames pass CompactDeadThreshold.
 type DiskStore struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
-	enc  *json.Encoder
 	idx  map[CellKey]*finject.Result
-	// records counts the rows physically in the file; records - len(idx)
-	// are dead (shadowed by a later row for the same key).
+	// records counts the frames physically in the file; records - len(idx)
+	// are dead (shadowed by a later frame for the same key).
 	records int
-	gauges  storeGauges
-}
-
-// storeGauges tracks one store's contribution to the fleet-wide
-// fi_store_disk_records_live/_dead gauges. Both disk store formats
-// publish through this one helper, so their accounting cannot drift:
-// contributions are deltas against the store's previous sync (several
-// open stores aggregate additively) and Close withdraws them.
-type storeGauges struct {
-	lastLive, lastDead int
-}
-
-// sync publishes the store's current live/dead record counts. Callers
-// hold their store's mutex.
-func (g *storeGauges) sync(live, dead int) {
-	telemetry.StoreRecordsLive.Add(int64(live - g.lastLive))
-	telemetry.StoreRecordsDead.Add(int64(dead - g.lastDead))
-	g.lastLive, g.lastDead = live, dead
-}
-
-// withdraw removes the store's contribution entirely (Close).
-func (g *storeGauges) withdraw() { g.sync(0, 0) }
-
-// syncGaugesLocked publishes the store's live/dead record counts.
-// Callers hold d.mu.
-func (d *DiskStore) syncGaugesLocked() {
-	d.gauges.sync(len(d.idx), d.records-len(d.idx))
+	// gaugeLive and gaugeDead are this store's contribution to the
+	// fleet-wide fi_store_disk_records_live/_dead gauges.
+	gaugeLive, gaugeDead int
 }
 
 // CompactDeadThreshold is the number of dead (shadowed) records past
-// which OpenDiskStore compacts the file before serving from it. Policy
+// which OpenStore compacts the file before serving from it. Policy
 // upgrades overwrite cells by appending, so a long-lived store otherwise
 // grows without bound.
 const CompactDeadThreshold = 64
 
-// diskRecord is the JSON-lines row format.
-type diskRecord struct {
-	Key    CellKey         `json:"key"`
-	Result *finject.Result `json:"result"`
+// FormatBinary names the one store format, the wire format. It is the
+// only value OpenStore accepts.
+const FormatBinary = "binary"
+
+// appendCellRecord frames one (key, result) pair onto buf.
+func appendCellRecord(buf []byte, key CellKey, res *finject.Result) []byte {
+	var w wire.Writer
+	w.String(string(key))
+	finject.EncodeResult(&w, res)
+	return wire.AppendRecord(buf, wire.RecCell, w.Bytes())
 }
 
-// DecodeJSONRecord decodes one JSON-lines store row. It is the single
-// row decoder, shared by OpenDiskStore and fistore's read-only
-// inspection.
-func DecodeJSONRecord(raw []byte) (CellKey, *finject.Result, error) {
-	var rec diskRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
+// decodeCellRecord decodes a RecCell payload.
+func decodeCellRecord(payload []byte) (CellKey, *finject.Result, error) {
+	r := wire.NewReader(payload)
+	key := CellKey(r.String())
+	if err := r.Err(); err != nil {
 		return "", nil, err
 	}
-	if rec.Key == "" || rec.Result == nil {
-		return "", nil, errors.New("incomplete record")
+	if key == "" {
+		return "", nil, fmt.Errorf("%w: cell record with empty key", wire.ErrCorrupt)
 	}
-	return rec.Key, rec.Result, nil
+	res, err := finject.DecodeResult(r)
+	if err != nil {
+		return "", nil, err
+	}
+	return key, res, nil
 }
 
-// OpenDiskStore opens (creating if absent) the JSON-lines store at path
-// and loads its index. A torn final record — the signature of a process
-// killed mid-append — is truncated away so the next append lands on a
-// clean line boundary; a malformed record anywhere else is corruption
-// and stays an error. Complete records survive any crash: each Put is
-// one write of record+newline, so a record is either wholly present or
-// wholly absent.
-func OpenDiskStore(path string) (*DiskStore, error) {
+// ScanStore walks the cell records of a store file's bytes in file
+// order, handing fn each record's key and decoded result; a later record
+// for a key shadows an earlier one. It returns the offset just past the
+// last complete frame, so good < len(data) means a torn final append. A
+// bad header, a frame failing its CRC or a cell record that does not
+// decode is an error. It is the one decoder of the cell-record layout,
+// shared by OpenStore and fistore's read-only inspection.
+func ScanStore(data []byte, fn func(key CellKey, res *finject.Result) error) (good int, err error) {
+	kind, _, err := wire.ParseHeader(data)
+	if err != nil {
+		return 0, err
+	}
+	if kind != wire.FileStore {
+		return 0, fmt.Errorf("wire %s file, not a store", kind)
+	}
+	return wire.ScanRecords(data, func(rec wire.Record) error {
+		if rec.Kind != wire.RecCell {
+			return nil // forward-compatible additions: skip
+		}
+		key, res, err := decodeCellRecord(rec.Payload)
+		if err != nil {
+			return fmt.Errorf("record at offset %d: %w", rec.Off, err)
+		}
+		return fn(key, res)
+	})
+}
+
+// OpenStore opens (creating if absent) the store at path and loads its
+// index. format must be FormatBinary. Each Put is a single write of one
+// complete frame, so a frame whose declared extent runs past the end of
+// the file is a torn append and is truncated away, while a complete
+// frame failing its CRC or decode is corruption and stays an error. A
+// file without the wire magic — a JSON-lines store from before the wire
+// format — is refused untouched with the one-time migration command.
+func OpenStore(path, format string) (*DiskStore, error) {
+	if format != FormatBinary {
+		return nil, fmt.Errorf("campaign: unknown store format %q (the only store format is %q)", format, FormatBinary)
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: open store: %w", err)
@@ -178,44 +189,38 @@ func OpenDiskStore(path string) (*DiskStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("campaign: store %s: %w", path, err)
 	}
-	if wire.IsWireFile(data) {
-		f.Close()
-		return nil, fmt.Errorf("campaign: store %s is a binary wire-format store; open it with OpenStore or OpenBinaryDiskStore", path)
-	}
-	good, line := 0, 0 // good = byte offset just past the last applied record
-	rest := data
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			break // unterminated tail: torn final write
+	if len(data) == 0 {
+		hdr := wire.AppendHeader(nil, wire.FileStore)
+		if _, err := f.Write(hdr); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("campaign: store %s: %w", path, err)
 		}
-		line++
-		if raw := bytes.TrimSpace(rest[:nl]); len(raw) > 0 {
-			// A newline-terminated line was fully written (the newline is
-			// the record's last byte), so a parse failure here is real
-			// corruption, not a torn write.
-			key, res, err := DecodeJSONRecord(raw)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("campaign: store %s line %d: %w", path, line, err)
-			}
+		telemetry.WireBytesWritten.Add(int64(len(hdr)))
+	} else {
+		if !wire.IsWireFile(data) {
+			f.Close()
+			return nil, fmt.Errorf("campaign: store %s is not a wire-format store; a JSON-lines store needs a one-time migration: fistore convert %s <new.store>", path, path)
+		}
+		good, err := ScanStore(data, func(key CellKey, res *finject.Result) error {
 			d.idx[key] = res
 			d.records++
-		}
-		good += nl + 1
-		rest = rest[nl+1:]
-	}
-	if good < len(data) {
-		if err := f.Truncate(int64(good)); err != nil {
+			return nil
+		})
+		if err != nil {
 			f.Close()
-			return nil, fmt.Errorf("campaign: store %s: truncate torn tail: %w", path, err)
+			return nil, fmt.Errorf("campaign: store %s: %w", path, err)
+		}
+		if good < len(data) {
+			if err := f.Truncate(int64(good)); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("campaign: store %s: truncate torn tail: %w", path, err)
+			}
+		}
+		if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("campaign: store %s: %w", path, err)
 		}
 	}
-	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: store %s: %w", path, err)
-	}
-	d.enc = json.NewEncoder(f)
 	if d.records-len(d.idx) > CompactDeadThreshold {
 		if err := d.Compact(); err != nil {
 			f.Close()
@@ -223,29 +228,50 @@ func OpenDiskStore(path string) (*DiskStore, error) {
 		}
 	}
 	d.mu.Lock()
-	d.syncGaugesLocked()
+	d.syncGaugesLocked(len(d.idx), d.records-len(d.idx))
 	d.mu.Unlock()
 	return d, nil
 }
 
-// Compact rewrites the file down to one record per live cell: the live
-// records stream to a temporary sibling file, which is fsynced and
-// atomically renamed over the store, so a crash at any point leaves
-// either the old complete file or the new complete file. The in-memory
-// index and the results it shares by pointer are untouched.
+// syncGaugesLocked publishes the store's live/dead record counts as
+// deltas against its previous sync, so several open stores aggregate
+// additively. Callers hold d.mu.
+func (d *DiskStore) syncGaugesLocked(live, dead int) {
+	telemetry.StoreRecordsLive.Add(int64(live - d.gaugeLive))
+	telemetry.StoreRecordsDead.Add(int64(dead - d.gaugeDead))
+	d.gaugeLive, d.gaugeDead = live, dead
+}
+
+// Compact rewrites the file down to one frame per live cell, in sorted
+// key order so equal stores are byte-identical on disk. The frames go to
+// a temporary sibling file, which is fsynced and atomically renamed over
+// the store, so a crash at any point leaves either the old complete file
+// or the new complete file. The in-memory index and the results it
+// shares by pointer are untouched.
 func (d *DiskStore) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer telemetry.StartSpan(context.Background(), "store_compact")()
-	err := atomicReplaceFile(d.path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		for _, k := range sortedKeys(d.idx) {
-			if err := enc.Encode(diskRecord{Key: k, Result: d.idx[k]}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	buf := wire.AppendHeader(nil, wire.FileStore)
+	for _, k := range sortedKeys(d.idx) {
+		buf = appendCellRecord(buf, k, d.idx[k])
+	}
+	tmpPath := d.path + ".compact"
+	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("campaign: compact store: %w", err)
+	}
+	defer os.Remove(tmpPath) // no-op after a successful rename
+	_, err = tmp.Write(buf)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmpPath, d.path)
+	}
 	if err != nil {
 		return fmt.Errorf("campaign: compact store: %w", err)
 	}
@@ -257,15 +283,14 @@ func (d *DiskStore) Compact() error {
 	}
 	d.f.Close()
 	d.f = f
-	d.enc = json.NewEncoder(f)
 	d.records = len(d.idx)
+	telemetry.WireBytesWritten.Add(int64(len(buf)))
 	telemetry.StoreCompactions.Inc()
-	d.syncGaugesLocked()
+	d.syncGaugesLocked(len(d.idx), 0)
 	return nil
 }
 
-// sortedKeys returns the index's keys in ascending order: stable record
-// order keeps equal stores byte-identical on disk.
+// sortedKeys returns the index's keys in ascending order.
 func sortedKeys(idx map[CellKey]*finject.Result) []CellKey {
 	keys := make([]CellKey, 0, len(idx))
 	for k := range idx {
@@ -275,37 +300,7 @@ func sortedKeys(idx map[CellKey]*finject.Result) []CellKey {
 	return keys
 }
 
-// atomicReplaceFile writes a complete replacement for path to a
-// temporary sibling (buffered), fsyncs it and renames it into place, so
-// a crash at any point leaves either the old or the new complete file.
-// Both disk store formats compact through this helper.
-func atomicReplaceFile(path string, write func(w io.Writer) error) error {
-	tmpPath := path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmpPath) // no-op after a successful rename
-	w := bufio.NewWriter(tmp)
-	if err := write(w); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmpPath, path)
-}
-
-// Records reports the physical record count of the backing file;
+// Records reports the physical frame count of the backing file;
 // Records() - Len() of them are dead.
 func (d *DiskStore) Records() int {
 	d.mu.Lock()
@@ -321,17 +316,20 @@ func (d *DiskStore) Get(key CellKey) (*finject.Result, bool, error) {
 	return res, ok, nil
 }
 
-// Put implements Store, appending one JSON line.
+// Put implements Store, appending one frame with a single write so the
+// record is either wholly present or wholly absent after any crash.
 func (d *DiskStore) Put(key CellKey, res *finject.Result) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.enc.Encode(diskRecord{Key: key, Result: res}); err != nil {
+	rec := appendCellRecord(nil, key, res)
+	if _, err := d.f.Write(rec); err != nil {
 		return fmt.Errorf("campaign: store append: %w", err)
 	}
 	d.idx[key] = res
 	d.records++
+	telemetry.WireBytesWritten.Add(int64(len(rec)))
 	telemetry.StorePuts.Inc()
-	d.syncGaugesLocked()
+	d.syncGaugesLocked(len(d.idx), d.records-len(d.idx))
 	return nil
 }
 
@@ -342,22 +340,14 @@ func (d *DiskStore) Len() int {
 	return len(d.idx)
 }
 
-// Keys returns the live cell keys in ascending order.
-func (d *DiskStore) Keys() []CellKey {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return sortedKeys(d.idx)
-}
-
 // Path returns the backing file's path.
 func (d *DiskStore) Path() string { return d.path }
 
-// Close flushes and closes the backing file. The store must not be used
-// afterwards.
+// Close closes the backing file and withdraws the store's contribution
+// from the fleet record gauges. The store must not be used afterwards.
 func (d *DiskStore) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Withdraw this store's contribution from the fleet record gauges.
-	d.gauges.withdraw()
+	d.syncGaugesLocked(0, 0)
 	return d.f.Close()
 }

@@ -42,16 +42,15 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 		defaultChip = "GeForce GTX 480"
 	}
 	var (
-		chipName    = fs.String("chip", defaultChip, "chip to simulate")
-		benchName   = fs.String("bench", "vectoradd", "benchmark to run")
-		structSel   = fs.String("structure", "regfile", "structure: regfile or local")
-		seed        = fs.Uint64("seed", 1, "campaign seed")
-		storePath   = fs.String("store", "", "result store file; repeated identical campaigns are served from it")
-		storeFormat = fs.String("store-format", campaign.FormatAuto, "store file format: auto (sniff existing files, JSON for new), json, or binary")
-		ladderDir   = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
-		specPath    = fs.String("spec", "", "run this experiment spec (JSON) instead of one flag-built cell")
-		asJSON      = fs.Bool("json", false, "with -spec: emit the result as JSON instead of tables")
-		listFlag    = fs.Bool("list", false, "list chips and benchmarks, then exit")
+		chipName  = fs.String("chip", defaultChip, "chip to simulate")
+		benchName = fs.String("bench", "vectoradd", "benchmark to run")
+		structSel = fs.String("structure", "regfile", "structure: regfile or local")
+		seed      = fs.Uint64("seed", 1, "campaign seed")
+		storePath = fs.String("store", "", "result store file; repeated identical campaigns are served from it")
+		ladderDir = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
+		specPath  = fs.String("spec", "", "run this experiment spec (JSON) instead of one flag-built cell")
+		asJSON    = fs.Bool("json", false, "with -spec: emit the result as JSON instead of tables")
+		listFlag  = fs.Bool("list", false, "list chips and benchmarks, then exit")
 	)
 	pf := AddPolicyFlags(fs)
 	obs := AddObsFlags(fs)
@@ -104,7 +103,7 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 		var store campaign.Store
 		closeStore := func() {}
 		if *storePath != "" {
-			ds, err := campaign.OpenStore(*storePath, *storeFormat)
+			ds, err := campaign.OpenStore(*storePath, campaign.FormatBinary)
 			if err != nil {
 				return nil, nil, err
 			}

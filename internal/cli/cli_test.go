@@ -41,7 +41,7 @@ func TestRunCampaign(t *testing.T) {
 }
 
 func TestRunWithStore(t *testing.T) {
-	store := filepath.Join(t.TempDir(), "cells.jsonl")
+	store := filepath.Join(t.TempDir(), "cells.store")
 	args := []string{"-bench", "vectoradd", "-n", "30", "-seed", "8", "-store", store}
 
 	var cold strings.Builder

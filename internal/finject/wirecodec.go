@@ -8,9 +8,9 @@ import (
 )
 
 // Wire codec for campaign results: the payload body of a RecCell record
-// in binary result stores (campaign.BinaryDiskStore). The layout must
-// round-trip Result exactly — the binary store's differential tests
-// compare figure JSON rendered from converted stores byte for byte.
+// in result stores (campaign.DiskStore). The layout must round-trip
+// Result exactly — the store's differential tests compare figure JSON
+// rendered from reopened and converted stores byte for byte.
 
 // EncodeResult appends res to w in wire layout.
 func EncodeResult(w *wire.Writer, res *Result) {

@@ -79,7 +79,7 @@ func startServer(t *testing.T, dir, crash string, extra ...string) *proc {
 	t.Helper()
 	args := []string{
 		"-addr", "127.0.0.1:0",
-		"-store", filepath.Join(dir, "cells.jsonl"),
+		"-store", filepath.Join(dir, "cells.store"),
 		"-job-store", filepath.Join(dir, "jobs.jsonl"),
 		"-drain-timeout", "2s",
 	}

@@ -20,9 +20,10 @@ import (
 // JobStore is the server's write-ahead job journal: one JSON record per
 // line, appended and fsynced at every state transition, so the job table
 // — submissions, per-cell progress and final results — survives a
-// kill -9 of the process. It reuses the campaign.DiskStore machinery's
-// shape: appends shadow earlier records, recovery replays the file, and
-// Compact rewrites it to the live minimum with fsync + atomic rename.
+// kill -9 of the process. It has the shape of the result store,
+// campaign.DiskStore, in JSON records instead of wire frames: appends
+// shadow earlier records, recovery replays the file, and Compact
+// rewrites it to the live minimum with fsync + atomic rename.
 //
 // Durability contract: a record is either wholly in the journal or
 // wholly absent after a crash. Recovery tolerates exactly one torn tail
@@ -374,8 +375,9 @@ func (js *JobStore) Path() string { return js.path }
 // Compact rewrites the journal down to the live minimum — one submit
 // record, the settled cell records and the finish record per retained
 // job — through a temporary sibling that is fsynced and atomically
-// renamed over the journal, exactly like campaign.DiskStore.Compact: a
-// crash at any point leaves either the old complete file or the new one.
+// renamed over the journal, as the result store's DiskStore.Compact
+// does: a crash at any point leaves either the old complete file or the
+// new one.
 func (js *JobStore) Compact() error {
 	js.mu.Lock()
 	defer js.mu.Unlock()

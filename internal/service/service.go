@@ -43,9 +43,10 @@ import (
 // the oldest finished jobs are evicted first.
 const maxRetainedJobs = 256
 
-// maxRequestBody bounds the client request bodies of POST /v1/jobs and
-// POST /v1/experiments. The largest legitimate bodies — one spec, or a
-// batch of thousands of cell specs — stay well under a MiB; a body past
+// maxRequestBody bounds the request bodies of POST /v1/jobs, POST
+// /v1/experiments and the worker lease and complete calls. The largest
+// legitimate bodies — one spec, a batch of thousands of cell specs, or a
+// completed cell's aggregate counts — stay well under a MiB; a body past
 // this bound answers 413 and is not read further.
 const maxRequestBody = 8 << 20
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,6 +217,31 @@ func TestWorkerEndpointValidation(t *testing.T) {
 	plain := httptest.NewServer(NewServer(campaign.New(campaign.Config{})))
 	defer plain.Close()
 	testutil.PostJSON(t, plain.URL, "/v1/workers/lease", map[string]any{"worker": "w"}, nil, http.StatusNotFound)
+}
+
+// TestWorkerBodiesBounded pins the worker endpoints to the same body
+// bound as the client endpoints: a lease or complete body past
+// maxRequestBody answers 413 too_large instead of being read to the end.
+func TestWorkerBodiesBounded(t *testing.T) {
+	ts, _, _ := newRemoteServer(t, time.Minute)
+	pad := strings.Repeat("x", maxRequestBody)
+	for _, tc := range []struct {
+		path string
+		body map[string]any
+	}{
+		{"/v1/workers/lease", map[string]any{"worker": "w", "pad": pad}},
+		{"/v1/workers/lease-000001/complete", map[string]any{"error": "boom", "pad": pad}},
+	} {
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		testutil.PostJSON(t, ts.URL, tc.path, tc.body, &env, http.StatusRequestEntityTooLarge)
+		if env.Error.Code != "too_large" {
+			t.Fatalf("%s: error code %q, want too_large", tc.path, env.Error.Code)
+		}
+	}
 }
 
 func TestShutdownDrainsRunningJobs(t *testing.T) {

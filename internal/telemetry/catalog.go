@@ -66,7 +66,7 @@ var (
 	LadderBytes = Default.Counter("fi_ladder_bytes_total",
 		"Bytes captured into checkpoint-ladder snapshots.")
 
-	// Result store (internal/campaign.DiskStore).
+	// Wire-format result store (internal/campaign.DiskStore).
 	StorePuts = Default.Counter("fi_store_disk_puts_total",
 		"Cell results appended to disk stores.")
 	StoreCompactions = Default.Counter("fi_store_disk_compactions_total",

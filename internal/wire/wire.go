@@ -1,5 +1,5 @@
 // Package wire is the versioned binary on-disk format shared by the
-// campaign result store (campaign.BinaryDiskStore), the file-backed
+// campaign result store (campaign.DiskStore), the file-backed
 // checkpoint-ladder store (finject's -ladder-dir path) and the fistore
 // inspection CLI. A wire file is
 //
@@ -18,11 +18,11 @@
 // in heap COW. Ladder files are opened by read-only mmap, so every
 // process on a host shares one physical copy of a golden's ladder.
 //
-// Torn tails versus corruption follow the JSON store's rule: a record
-// whose declared extent runs past the end of the file is the signature
-// of a process killed mid-append and is truncated away by appenders; a
-// record that is wholly present but fails its CRC or decode is
-// corruption and is an error. Version bumps are explicit: a reader
+// Torn tails versus corruption follow one rule: a record whose declared
+// extent runs past the end of the file is the signature of a process
+// killed mid-append and is truncated away by appenders; a record that is
+// wholly present but fails its CRC or decode is corruption and is an
+// error. Version bumps are explicit: a reader
 // rejects files whose version it does not know (no silent best-effort
 // parsing), and compatible additions arrive as new record kinds, which
 // readers must skip when unknown.
@@ -35,9 +35,9 @@ import (
 	"hash/crc32"
 )
 
-// Magic identifies every wire-format file; campaign.OpenStore selects
-// the binary store by sniffing it, so JSON-lines stores (which can
-// never start with these bytes) keep working unchanged.
+// Magic identifies every wire-format file. campaign.OpenStore refuses
+// files without it, naming the fistore migration for JSON-lines stores
+// from older versions (which can never start with these bytes).
 const Magic = "FIWR"
 
 // Version is the current format version. Readers reject other versions.
@@ -160,8 +160,8 @@ func ParseHeader(b []byte) (FileKind, int, error) {
 	return kind, HeaderSize, nil
 }
 
-// IsWireFile reports whether b begins with the wire magic — the sniff
-// campaign.OpenStore uses to route between store implementations.
+// IsWireFile reports whether b begins with the wire magic — the check
+// campaign.OpenStore uses to refuse JSON-lines stores.
 func IsWireFile(b []byte) bool {
 	return len(b) >= len(Magic) && string(b[:len(Magic)]) == Magic
 }
