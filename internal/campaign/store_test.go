@@ -361,6 +361,181 @@ func TestBinaryStoreAutoCompactOnOpen(t *testing.T) {
 	}
 }
 
+// countFrames returns the number of cell frames in the store file at
+// path, read from disk rather than from a store's in-memory index.
+func countFrames(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if _, err := ScanStore(data, func(CellKey, *finject.Result) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func TestDiskStoreRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.store")
+	d, err := OpenStore(path, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1 := CellSpec{Chip: "c", Benchmark: "b", Seed: 1}.Key()
+	k2 := CellSpec{Chip: "c", Benchmark: "b", Seed: 2}.Key()
+	want1, want2 := fakeResult(50), fakeResult(60)
+	if err := d.Put(k1, want1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put(k2, want2); err != nil {
+		t.Fatal(err)
+	}
+	// Overwrite k1; the newest record must win after reopen.
+	want1b := fakeResult(70)
+	if err := d.Put(k1, want1b); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := OpenStore(path, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if d2.Len() != 2 {
+		t.Fatalf("reopened store holds %d cells, want 2", d2.Len())
+	}
+	got, ok, err := d2.Get(k1)
+	if err != nil || !ok {
+		t.Fatalf("k1 after reopen: %v %v", ok, err)
+	}
+	if got.Injections != want1b.Injections || got.Outcomes != want1b.Outcomes ||
+		got.GoldenStats != want1b.GoldenStats || got.Occupancy != want1b.Occupancy {
+		t.Fatalf("k1 round trip: got %+v want %+v", got, want1b)
+	}
+	if got, ok, _ := d2.Get(k2); !ok || got.Injections != 60 {
+		t.Fatalf("k2 round trip: %v %+v", ok, got)
+	}
+}
+
+func TestDiskStoreCompact(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.store")
+	d, err := OpenStore(path, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1 := CellSpec{Chip: "c", Benchmark: "b", Seed: 1}.Key()
+	k2 := CellSpec{Chip: "c", Benchmark: "b", Seed: 2}.Key()
+	// Overwrites are appends: 10 puts over 2 keys leave 8 dead records.
+	for i := 0; i < 5; i++ {
+		if err := d.Put(k1, fakeResult(10+i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Put(k2, fakeResult(20+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := countFrames(t, path); got != 10 {
+		t.Fatalf("file has %d records before compaction, want 10", got)
+	}
+	if d.Records() != 10 || d.Len() != 2 {
+		t.Fatalf("records=%d len=%d", d.Records(), d.Len())
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := countFrames(t, path); got != 2 {
+		t.Fatalf("file has %d records after compaction, want 2", got)
+	}
+	if d.Records() != 2 || d.Len() != 2 {
+		t.Fatalf("after compact: records=%d len=%d", d.Records(), d.Len())
+	}
+	// The store stays fully usable: reads see the latest values and
+	// appends land in the renamed file.
+	if res, ok, _ := d.Get(k1); !ok || res.Injections != 14 {
+		t.Fatalf("k1 after compact: ok=%v res=%+v", ok, res)
+	}
+	k3 := CellSpec{Chip: "c", Benchmark: "b", Seed: 3}.Key()
+	if err := d.Put(k3, fakeResult(30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen: all three cells must be there.
+	d2, err := OpenStore(path, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for _, k := range []CellKey{k1, k2, k3} {
+		if _, ok, _ := d2.Get(k); !ok {
+			t.Fatalf("cell %s lost across compact+reopen", k)
+		}
+	}
+	if res, ok, _ := d2.Get(k2); !ok || res.Injections != 24 {
+		t.Fatalf("k2 value wrong after reopen: %+v", res)
+	}
+}
+
+func TestDiskStoreAutoCompactOnOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.store")
+	d, err := OpenStore(path, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CellSpec{Chip: "c", Benchmark: "b"}.Key()
+	for i := 0; i <= CompactDeadThreshold+1; i++ {
+		if err := d.Put(key, fakeResult(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if before := countFrames(t, path); before != CompactDeadThreshold+2 {
+		t.Fatalf("setup wrote %d records", before)
+	}
+	// Open crosses the dead-record threshold and must compact.
+	d2, err := OpenStore(path, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if got := countFrames(t, path); got != 1 {
+		t.Fatalf("auto-compaction left %d records, want 1", got)
+	}
+	if res, ok, _ := d2.Get(key); !ok || res.Injections != CompactDeadThreshold+2 {
+		t.Fatalf("latest value lost: ok=%v res=%+v", ok, res)
+	}
+	// Below the threshold, open must not rewrite the file.
+	for i := 0; i < 3; i++ {
+		if err := d2.Put(key, fakeResult(50+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d2.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := OpenStore(path, FormatBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) || d3.Records() != 4 {
+		t.Fatalf("open below threshold rewrote the file: %d -> %d bytes, records=%d", len(before), len(after), d3.Records())
+	}
+}
+
 // assertUnchangedAfterFailedOpen opens path expecting an error that
 // mentions want, and checks the failed open left the file byte for byte
 // as it was.
