@@ -471,12 +471,15 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkCheckpointVsFull contrasts checkpointed fast-forward against
-// full per-injection replay on the same cell with one shared golden:
-// restoring the nearest snapshot below each fault cycle skips the
-// fault-free prefix, which at uniform (bit, cycle) sampling halves the
-// simulated cycles — the differential suite in internal/finject proves
-// the results byte-identical, so the entire delta is pure speed. The
+// BenchmarkCheckpointVsFull contrasts the default engine against the
+// unpruned reference engine on the same cell with one shared golden.
+// full-replay (checkpointing off) simulates every injection from cycle
+// zero, so it still gates the simulator and replay path on its own.
+// checkpointed classifies most faults Masked from the golden run's
+// read-liveness summary and fast-forwards the rest from the nearest
+// snapshot below the fault cycle, so it gates pruning and restore
+// together. The differential suite in internal/finject proves the
+// results byte-identical, so the entire delta is pure speed. The
 // committed BENCH_baseline.json carries both variants and
 // cmd/benchgate fails CI if the win regresses.
 func BenchmarkCheckpointVsFull(b *testing.B) {

@@ -21,8 +21,10 @@
 // Useful knobs: -n (injections per campaign; the paper uses 2000, and it
 // becomes the cap when -margin is set), -margin/-confidence (adaptive
 // sampling: stop each campaign once its AVF interval is tight enough),
-// -checkpoint (fast-forward injections through golden snapshots: auto,
-// off, or a cycle interval; results are byte-identical either way),
+// -checkpoint (fast-forward injections through golden snapshots and
+// classify faults the golden run never reads again without simulating
+// them: auto, off for the unpruned full-replay reference, or a cycle
+// interval; results are byte-identical either way),
 // -workers, -seed, -bench (comma-separated subset), -chips
 // (comma-separated subset), -store (persistent result cache; warm reruns
 // perform zero injections).

@@ -26,7 +26,8 @@ import (
 // value is the default: checkpointing on, interval auto-sized from the
 // golden run's cycle count and the memory budget.
 type Checkpoint struct {
-	// Off disables fast-forward: every injection replays from cycle 0.
+	// Off selects the reference engine: every injection replays from
+	// cycle 0, with no checkpoint restore and no read-liveness pruning.
 	Off bool `json:"off,omitempty"`
 	// Interval overrides the auto-sized snapshot spacing in device
 	// cycles (0 = auto).

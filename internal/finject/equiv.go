@@ -7,10 +7,12 @@ import (
 )
 
 // CheckpointEquivalence is the differential proof harness behind the
-// checkpointed fast-forward engine: it executes the campaign twice —
-// once with checkpointing disabled (every injection replays from
-// power-on state) and once with the campaign's own checkpoint
-// configuration — with per-injection detail recording forced on, and
+// checkpointed fast-forward and read-liveness pruning engine: it
+// executes the campaign twice — once on the reference engine
+// (checkpointing off: every injection replays from power-on state and
+// none is pruned) and once with the campaign's own checkpoint
+// configuration, pruning included — with per-injection detail
+// recording forced on, and
 // fails unless the two runs are bit-identical: same outcome counts, same
 // realized sample size, same golden statistics and occupancy, and the
 // same per-injection record stream (fault site, outcome and SDC

@@ -351,17 +351,22 @@ func (g *Golden) Cycles() int64 { return g.g.cycles }
 func (g *Golden) Stats() gpu.RunStats { return g.g.stats }
 
 // golden holds the reference run against which outcomes are classified,
-// plus the checkpoint ladder captured during that run.
+// plus the checkpoint ladder and the read-liveness summary captured
+// during that run.
 type golden struct {
 	outputs []gpu.Region
 	bytes   [][]byte
 	cycles  int64
 	stats   gpu.RunStats
 	ladder  []gpu.Snapshot
+	// live is nil when pruning is unavailable: a reference (ckpt.Off)
+	// golden, or one too long for the liveness encoding.
+	live *liveness
 }
 
 // runGolden executes the fault-free reference run, capturing the
-// checkpoint ladder along the way unless ckpt.Off.
+// checkpoint ladder and the read-liveness summary along the way unless
+// ckpt.Off.
 func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint) (*golden, error) {
 	defer telemetry.StartSpan(context.Background(), "golden_run")()
 	d, err := devices.New(chip)
@@ -381,11 +386,20 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint) (*
 		lb = newLadderBuilder(ckpt)
 		lb.arm(d)
 	}
+	var live *liveness
+	if !ckpt.Off {
+		live = newLiveness(d.Units())
+		d.SetTracer(live)
+	}
 	if err := hp.Run(d); err != nil {
 		return nil, fmt.Errorf("finject: golden run of %s on %s failed: %w", bench.Name, chip.Name, err)
 	}
 	d.SetCheckpointHook(0, nil)
+	d.SetTracer(nil)
 	g := &golden{outputs: hp.Outputs(), stats: d.Stats()}
+	if g.stats.Cycles <= maxLivenessCycle {
+		g.live = live
+	}
 	if haveLoaded {
 		g.ladder = loaded
 	} else if lb != nil {
@@ -620,6 +634,11 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 		ladder = g.ladder
 	}
 	watchdog := g.cycles*int64(wdFactor) + 10_000
+	// The reference engine (checkpointing off) simulates every injection.
+	live := g.live
+	if c.Policy.Checkpoint.Off {
+		live = nil
+	}
 
 	res := &Result{
 		GoldenStats: g.stats,
@@ -630,15 +649,9 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 	}
 	baseRNG := stats.NewRNG(c.Seed)
 
+	// Workers take their replica at their first simulated injection, so
+	// a campaign whose every fault is pruned never touches a device.
 	pool := make([]*injector, workers)
-	for i := range pool {
-		in, err := acquireReplica(c)
-		if err != nil {
-			releaseReplicas(c, pool[:i])
-			return nil, err
-		}
-		pool[i] = in
-	}
 	defer releaseReplicas(c, pool)
 
 	done := 0
@@ -654,8 +667,11 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 			}
 		}
 		endSpan := telemetry.StartSpan(ctx, "injection_round")
-		ran := runRound(ctx, c, pool, g, ladder, watchdog, baseRNG, done, end, res)
+		ran, err := runRound(ctx, c, pool, g, ladder, live, watchdog, baseRNG, done, end, res)
 		endSpan()
+		if err != nil {
+			return nil, err
+		}
 		telemetry.InjectRounds.Inc()
 		done += ran
 		if done < end {
@@ -690,24 +706,30 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 // reports how many completed. Indices are handed out through an atomic
 // counter and every handed-out index is classified, so on cancellation
 // the completed injections are exactly the contiguous prefix
-// [start, start+ran).
-func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladder []gpu.Snapshot, watchdog int64, rng *stats.RNG, start, end int, res *Result) int {
+// [start, start+ran). A fault whose entry the golden run never reads at
+// or after the fault cycle is classified Masked from the liveness
+// summary without touching a device (a nil live simulates every fault).
+// Worker w simulates on pool[w], acquiring it on first use; the only
+// error is a failure to build that replica.
+func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladder []gpu.Snapshot, live *liveness, watchdog int64, rng *stats.RNG, start, end int, res *Result) (int, error) {
 	var (
 		next atomic.Int64
 		mu   sync.Mutex
 		wg   sync.WaitGroup
 		ran  int
+		errs = make([]error, len(pool))
 	)
 	next.Store(int64(start))
-	for _, in := range pool {
+	for w := range pool {
 		wg.Add(1)
-		go func(in *injector) {
+		go func(w int) {
 			defer wg.Done()
 			// Telemetry accumulates in worker-locals and flushes once per
 			// round, so the per-injection hot loop costs no atomics.
 			var (
 				local    [gpu.NumOutcomes]int
 				count    int
+				pruned   int64
 				restores int64
 				replays  int64
 				ffCyc    int64
@@ -721,14 +743,24 @@ func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladd
 					break
 				}
 				f := sampleFault(rng, c, g.cycles, uint64(i))
-				o, corrupt, cost := classify(in.d, in.hp, g, ladder, f, watchdog)
+				o, corrupt, cost := gpu.OutcomeMasked, 0, classifyCost{}
+				if live != nil && !live.readFrom(f) {
+					pruned++
+				} else {
+					if pool[w] == nil {
+						if pool[w], errs[w] = acquireReplica(c); errs[w] != nil {
+							break
+						}
+					}
+					o, corrupt, cost = classify(pool[w].d, pool[w].hp, g, ladder, f, watchdog)
+					if cost.restored {
+						restores++
+					} else {
+						replays++
+					}
+				}
 				local[o]++
 				count++
-				if cost.restored {
-					restores++
-				} else {
-					replays++
-				}
 				ffCyc += cost.ffCycles
 				simCyc += cost.simCycles
 				pgCopied += cost.pagesCopied
@@ -738,6 +770,7 @@ func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladd
 				}
 			}
 			telemetry.Injections.Add(int64(count))
+			telemetry.InjectPruned.Add(pruned)
 			telemetry.CkptRestores.Add(restores)
 			telemetry.FullReplays.Add(replays)
 			telemetry.FastForwardCycles.Add(ffCyc)
@@ -750,8 +783,8 @@ func runRound(ctx context.Context, c Campaign, pool []*injector, g *golden, ladd
 			}
 			ran += count
 			mu.Unlock()
-		}(in)
+		}(w)
 	}
 	wg.Wait()
-	return ran
+	return ran, errors.Join(errs...)
 }

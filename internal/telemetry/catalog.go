@@ -42,15 +42,17 @@ var (
 
 	// Injection engine (internal/finject).
 	Injections = Default.Counter("fi_inject_injections_total",
-		"Fault injections simulated and classified.")
+		"Fault injections classified, simulated or pruned.")
+	InjectPruned = Default.Counter("fi_inject_pruned_total",
+		"Injections classified Masked without simulation.")
 	InjectRounds = Default.Counter("fi_inject_rounds_total",
 		"Adaptive campaign rounds executed.")
 	InjectEarlyStops = Default.Counter("fi_inject_early_stops_total",
 		"Campaigns stopped early by the confidence-interval policy.")
 	CkptRestores = Default.Counter("fi_inject_ckpt_restores_total",
-		"Injections fast-forwarded by restoring a checkpoint-ladder rung.")
+		"Simulated injections fast-forwarded by restoring a checkpoint-ladder rung.")
 	FullReplays = Default.Counter("fi_inject_full_replays_total",
-		"Injections replayed from cycle zero (no usable rung).")
+		"Simulated injections replayed from cycle zero (no usable rung).")
 	FastForwardCycles = Default.Counter("fi_inject_ff_cycles_total",
 		"Simulated cycles skipped via checkpoint restore.")
 	RestorePagesCopied = Default.Counter("fi_inject_restore_pages_copied_total",
