@@ -57,7 +57,7 @@ func synthBenchmark(name string, prog *sass.Program) *workloads.Benchmark {
 func TestClassifyProducesDUE(t *testing.T) {
 	chip := chips.MiniNVIDIA()
 	bench := synthBenchmark("duebait", dueProg)
-	g, err := runGolden(chip, bench, Checkpoint{})
+	g, err := runGolden(chip, bench, Checkpoint{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ loop:
 func TestClassifyProducesTimeout(t *testing.T) {
 	chip := chips.MiniNVIDIA()
 	bench := synthBenchmark("hangbait", loopProg)
-	g, err := runGolden(chip, bench, Checkpoint{})
+	g, err := runGolden(chip, bench, Checkpoint{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestClassifyProducesTimeout(t *testing.T) {
 func TestClassifyMaskedTail(t *testing.T) {
 	chip := chips.MiniNVIDIA()
 	bench := synthBenchmark("duebait", dueProg)
-	g, err := runGolden(chip, bench, Checkpoint{})
+	g, err := runGolden(chip, bench, Checkpoint{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,7 +257,7 @@ func NewGolden(chip *chips.Chip, bench *workloads.Benchmark) (*Golden, error) {
 	if chip == nil || bench == nil {
 		return nil, errors.New("finject: golden run needs a chip and a benchmark")
 	}
-	g, err := runGolden(chip, bench, Checkpoint{})
+	g, err := runGolden(chip, bench, Checkpoint{}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +312,9 @@ func (g *Golden) ladderFor(cfg Checkpoint) ([]gpu.Snapshot, error) {
 		return lc.snaps, lc.err
 	}
 
-	run, err := runGolden(g.chipRef, g.benchRef, cfg)
+	// Only the ladder is kept: campaigns prune with the default golden's
+	// liveness summary, so this run records none.
+	run, err := runGolden(g.chipRef, g.benchRef, cfg, false)
 	if err != nil {
 		lc.err = err
 		g.mu.Lock()
@@ -359,15 +361,15 @@ type golden struct {
 	cycles  int64
 	stats   gpu.RunStats
 	ladder  []gpu.Snapshot
-	// live is nil when pruning is unavailable: a reference (ckpt.Off)
-	// golden, or one too long for the liveness encoding.
+	// live is nil when pruning is unavailable: a golden run without
+	// recordLive, or one too long for the liveness encoding.
 	live *liveness
 }
 
 // runGolden executes the fault-free reference run, capturing the
-// checkpoint ladder and the read-liveness summary along the way unless
-// ckpt.Off.
-func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint) (*golden, error) {
+// checkpoint ladder along the way unless ckpt.Off, and the read-liveness
+// summary if recordLive.
+func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, recordLive bool) (*golden, error) {
 	defer telemetry.StartSpan(context.Background(), "golden_run")()
 	d, err := devices.New(chip)
 	if err != nil {
@@ -387,7 +389,7 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint) (*
 		lb.arm(d)
 	}
 	var live *liveness
-	if !ckpt.Off {
+	if recordLive {
 		live = newLiveness(d.Units())
 		d.SetTracer(live)
 	}
@@ -627,7 +629,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 			return nil, fmt.Errorf("finject: campaign canceled before the reference run: %w", err)
 		}
 		var err error
-		g, err = runGolden(c.Chip, c.Benchmark, c.Policy.Checkpoint)
+		g, err = runGolden(c.Chip, c.Benchmark, c.Policy.Checkpoint, !c.Policy.Checkpoint.Off)
 		if err != nil {
 			return nil, err
 		}

@@ -46,16 +46,9 @@ func markRead(s []uint32, entry, n int, cycle int64) []uint32 {
 }
 
 func (l *liveness) RegAccess(unit, entry int, cycle int64, write bool) {
-	if write {
-		return
+	if !write {
+		l.reg[unit] = markRead(l.reg[unit], entry, 1, cycle)
 	}
-	// The golden run calls this for every register operand; keep the
-	// common in-range case free of the growth path.
-	if s := l.reg[unit]; entry < len(s) {
-		s[entry] = uint32(cycle + 1)
-		return
-	}
-	l.reg[unit] = markRead(l.reg[unit], entry, 1, cycle)
 }
 
 func (l *liveness) LocalAccess(unit, offset, size int, cycle int64, write bool) {

@@ -97,16 +97,18 @@ func TestInjectionTelemetryAccounts(t *testing.T) {
 // proof of read-liveness pruning on the paper's chips: for every
 // benchmark and both structures, every sampled fault the rule prunes
 // must classify Masked when simulated in full from power-on state. It
-// also checks the rule is not vacuous: it must prune most faults.
+// also checks the rule is not vacuous: it must prune most faults. The
+// race detector slows the full replays several-fold and the test has no
+// concurrency of its own to check, so it runs only without -race.
 func TestPrunedFaultsMaskedUnderFullReplay(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("full replays on the paper chips")
 	}
 	const n = 40
 	var sampled, pruned int
 	for _, chip := range chips.Evaluated() {
 		for _, bench := range workloads.All() {
-			g, err := runGolden(chip, bench, Checkpoint{})
+			g, err := runGolden(chip, bench, Checkpoint{}, true)
 			if err != nil {
 				t.Fatalf("%s/%s: golden: %v", chip.Name, bench.Name, err)
 			}
