@@ -49,7 +49,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/client"
 	"repro/internal/experiment"
-	"repro/internal/finject"
 	"repro/internal/report"
 )
 
@@ -80,7 +79,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		benches   = fs.String("bench", "", "comma-separated benchmark subset (default: figure-appropriate suite)")
 		chipSel   = fs.String("chips", "", "comma-separated chip subset (default: the paper's four)")
 		storePath = fs.String("store", "", "result store path (in-memory only when empty)")
-		ladderDir = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
 		asJSON    = fs.Bool("json", false, "emit figures as JSON instead of tables")
 		specPath  = fs.String("spec", "", "run this experiment spec (JSON) instead of a canned figure")
 		serverURL = fs.String("server", "", "with -spec: run on this fiserver (POST /v1/experiments) instead of locally")
@@ -106,13 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := pf.Validate(); err != nil {
 		return err
 	}
-	if *ladderDir != "" {
-		if err := os.MkdirAll(*ladderDir, 0o755); err != nil {
-			return fmt.Errorf("-ladder-dir: %w", err)
-		}
-		finject.SetLadderDir(*ladderDir)
-	}
-
 	if *specPath == "" && *serverURL != "" {
 		return errors.New("-server needs -spec (the canned figures run locally)")
 	}

@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
-	"repro/internal/finject"
 	"repro/internal/service"
 )
 
@@ -104,7 +103,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
 		storePath = fs.String("store", "", "result store path (in-memory only when empty)")
-		ladderDir = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
 		jobStore  = fs.String("job-store", "", "write-ahead job journal path; jobs survive restart and unfinished ones resume on boot")
 		memCap    = fs.Int("mem-cap", 0, "in-memory store capacity in cells (0 = unbounded; ignored with -store)")
 		workers   = fs.Int("workers", 0, "concurrently executing cells (default GOMAXPROCS; with -workers-remote, the fleet-wide in-flight bound, default 256)")
@@ -132,13 +130,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "fiserver: %v\n", terr)
 		}
 	}()
-
-	if *ladderDir != "" {
-		if err := os.MkdirAll(*ladderDir, 0o755); err != nil {
-			return fmt.Errorf("-ladder-dir: %w", err)
-		}
-		finject.SetLadderDir(*ladderDir)
-	}
 
 	var keys *service.KeySet
 	if *apiKeys != "" {

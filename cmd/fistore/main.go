@@ -1,8 +1,7 @@
-// Command fistore inspects and verifies the wire-format files of the
-// campaign fleet — result stores and checkpoint-ladder files — and
+// Command fistore inspects and verifies wire-format result stores and
 // migrates JSON-lines result stores written by older versions.
 //
-//	fistore inspect cells.store              header, record counts, dedupe ratio
+//	fistore inspect cells.store              header, live and dead record counts
 //	fistore verify  cells.store              full structural + checksum check
 //	fistore convert cells.jsonl cells.store  one-time JSON-lines migration
 //
@@ -101,105 +100,44 @@ func scanStore(path string, data []byte) (records, live, good int, err error) {
 	return records, len(keys), good, nil
 }
 
-// inspect prints a read-only summary of any fleet file.
+// inspect prints a read-only summary of any wire file, with record
+// counts for a store.
 func inspect(path string, w io.Writer) error {
 	data, kind, err := readWire(path)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%s: wire v%d %s file, %d bytes\n", path, data[4], kind, len(data))
-	switch kind {
-	case wire.FileStore:
-		records, live, good, err := scanStore(path, data)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  records   %d (%d live, %d dead)\n", records, live, records-live)
-		if good < len(data) {
-			fmt.Fprintf(w, "  torn tail (%d trailing bytes; healed on next open)\n", len(data)-good)
-		}
-	case wire.FileLadder:
-		return inspectLadder(path, data, w)
-	}
-	return nil
-}
-
-// inspectLadder summarizes a ladder file: identity, rungs, and how much
-// the content-addressed page pool deduplicated.
-func inspectLadder(path string, data []byte, w io.Writer) error {
-	var (
-		pages, snapshots int
-		refs             int
-		metaBytes        int
-	)
-	_, err := wire.ScanRecords(data, func(rec wire.Record) error {
-		switch rec.Kind {
-		case wire.RecLadderInfo:
-			r := wire.NewReader(rec.Payload)
-			chip, bench, interval, declared := r.String(), r.String(), r.I64(), r.U32()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			iv := "auto"
-			if interval > 0 {
-				iv = fmt.Sprintf("%d cycles", interval)
-			}
-			fmt.Fprintf(w, "  ladder    %s / %s, interval %s, %d rungs\n", chip, bench, iv, declared)
-		case wire.RecPage:
-			pages++
-		case wire.RecSnapshot:
-			r := wire.NewReader(rec.Payload)
-			r.I64()
-			r.U32()
-			r.U32()
-			refs += len(r.U32s())
-			metaBytes += len(r.Blob())
-			if err := r.Err(); err != nil {
-				return err
-			}
-			snapshots++
-		}
+	if kind != wire.FileStore {
 		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Fprintf(w, "  snapshots %d (%d bytes device meta)\n", snapshots, metaBytes)
-	dedup := 0.0
-	if refs > 0 {
-		dedup = 1 - float64(pages)/float64(refs)
-	}
-	fmt.Fprintf(w, "  pages     %d stored for %d references (%.1f%% deduplicated)\n", pages, refs, 100*dedup)
-	return nil
-}
-
-// verify fully checks a file: framing, checksums, and record decodes.
-func verify(path string, w io.Writer) error {
-	data, kind, err := readWire(path)
+	records, live, good, err := scanStore(path, data)
 	if err != nil {
 		return err
 	}
-	switch kind {
-	case wire.FileStore:
-		records, _, good, err := scanStore(path, data)
-		if err != nil {
-			return err
-		}
-		if good < len(data) {
-			fmt.Fprintf(w, "%s: ok, %d records (torn tail of %d bytes; healed on next open)\n", path, records, len(data)-good)
-			return nil
-		}
-		fmt.Fprintf(w, "%s: ok, %d records\n", path, records)
-		return nil
-	case wire.FileLadder:
-		pages, snapshots, err := wire.VerifyLadder(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Fprintf(w, "%s: ok, %d snapshots over %d pages\n", path, snapshots, pages)
+	fmt.Fprintf(w, "  records   %d (%d live, %d dead)\n", records, live, records-live)
+	if good < len(data) {
+		fmt.Fprintf(w, "  torn tail (%d trailing bytes; healed on next open)\n", len(data)-good)
+	}
+	return nil
+}
+
+// verify fully checks a store: framing, checksums, and record decodes.
+func verify(path string, w io.Writer) error {
+	data, _, err := readWire(path)
+	if err != nil {
+		return err
+	}
+	records, _, good, err := scanStore(path, data)
+	if err != nil {
+		return err
+	}
+	if good < len(data) {
+		fmt.Fprintf(w, "%s: ok, %d records (torn tail of %d bytes; healed on next open)\n", path, records, len(data)-good)
 		return nil
 	}
-	return fmt.Errorf("%s: unknown wire file kind", path)
+	fmt.Fprintf(w, "%s: ok, %d records\n", path, records)
+	return nil
 }
 
 // jsonRow is one line of the JSON-lines store format that older

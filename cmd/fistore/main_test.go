@@ -11,6 +11,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/finject"
 	"repro/internal/gpu"
+	"repro/internal/wire"
 )
 
 // testKey mints a syntactically plausible cell key.
@@ -190,6 +191,19 @@ func TestInspectAndVerifyStores(t *testing.T) {
 		err := run([]string{cmd, legacyFixture}, &out, &out)
 		if err == nil || !strings.Contains(err.Error(), "fistore convert "+legacyFixture) {
 			t.Fatalf("%s of a JSON-lines store: err = %v", cmd, err)
+		}
+	}
+	// A checkpoint-ladder file of earlier versions (file kind 2, led by
+	// its ladder-info record, kind 4) fails both commands cleanly.
+	ladder := filepath.Join(t.TempDir(), "old.ladder")
+	old := wire.AppendRecord(wire.AppendHeader(nil, 2), 4, []byte("chip/bench"))
+	if err := os.WriteFile(ladder, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"inspect", "verify"} {
+		err := run([]string{cmd, ladder}, &out, &out)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint-ladder file") {
+			t.Fatalf("%s of a ladder file: err = %v", cmd, err)
 		}
 	}
 }

@@ -57,9 +57,10 @@ func ladderMetas(t *testing.T, chip *chips.Chip, stride int64) []pinnedMeta {
 }
 
 // TestSnapshotMetaPinned pins the snapshot meta encoding byte for byte.
-// Ladder files written by earlier builds must keep opening without a
-// wire.Version bump, so any change to the layout, field order or
-// SizeBytes accounting fails here. The GTO case covers the
+// The encoding is a fingerprint of the complete simulator state at each
+// rung, so a refactor that claims to keep behaviour must keep these
+// bytes; any change to the captured state, its layout or field order, or
+// the SizeBytes accounting fails here. The GTO case covers the
 // greedy-wavefront pointer fields.
 func TestSnapshotMetaPinned(t *testing.T) {
 	cases := []struct {

@@ -571,11 +571,11 @@ func TestDiskStoreRejectsCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertUnchangedAfterFailedOpen(t, short, "bad magic")
-	ladder := filepath.Join(dir, "ladder.store")
-	if err := os.WriteFile(ladder, wire.AppendHeader(nil, wire.FileLadder), 0o644); err != nil {
+	owner := filepath.Join(dir, "owner.store")
+	if err := os.WriteFile(owner, wire.AppendHeader(nil, wire.FileOwner), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	assertUnchangedAfterFailedOpen(t, ladder, "not a store")
+	assertUnchangedAfterFailedOpen(t, owner, "not a store")
 }
 
 // TestOpenStoreRejectsLegacyJSON pins the migration contract: a

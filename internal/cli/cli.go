@@ -19,7 +19,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/chips"
 	"repro/internal/experiment"
-	"repro/internal/finject"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/report"
@@ -47,7 +46,6 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 		structSel = fs.String("structure", "regfile", "structure: regfile or local")
 		seed      = fs.Uint64("seed", 1, "campaign seed")
 		storePath = fs.String("store", "", "result store file; repeated identical campaigns are served from it")
-		ladderDir = fs.String("ladder-dir", "", "directory for persisted checkpoint ladders, shared read-only (mmap) across processes")
 		specPath  = fs.String("spec", "", "run this experiment spec (JSON) instead of one flag-built cell")
 		asJSON    = fs.Bool("json", false, "with -spec: emit the result as JSON instead of tables")
 		listFlag  = fs.Bool("list", false, "list chips and benchmarks, then exit")
@@ -73,13 +71,6 @@ func RunContext(ctx context.Context, tool string, vendor gpu.Vendor, args []stri
 	if err := pf.Validate(); err != nil {
 		return err
 	}
-	if *ladderDir != "" {
-		if err := os.MkdirAll(*ladderDir, 0o755); err != nil {
-			return fmt.Errorf("%s: -ladder-dir: %w", tool, err)
-		}
-		finject.SetLadderDir(*ladderDir)
-	}
-
 	if *listFlag {
 		fmt.Fprintf(w, "%s chips:\n", vendor)
 		for _, c := range chips.Evaluated() {

@@ -2,9 +2,12 @@
 // the core of what GUFI (NVIDIA/GPGPU-Sim) and SIFI (AMD/Multi2Sim) do in
 // the paper. A campaign samples N single-bit faults uniformly over the
 // (bit, cycle) population of one hardware structure of one chip running
-// one benchmark, executes each fault in a fresh simulation, classifies
-// the outcome against the golden run (Masked / SDC / DUE / Timeout), and
-// reports the AVF with its confidence interval.
+// one benchmark, classifies each against the golden run (Masked / SDC /
+// DUE / Timeout), and reports the AVF with its confidence interval. A
+// fault whose entry the golden run never reads at or after the fault
+// cycle is Masked by construction and is classified without simulation;
+// every other fault is simulated, resuming from the golden run's nearest
+// checkpoint below the fault cycle.
 //
 // Campaigns are deterministic: fault #i is derived from (Seed, i) only,
 // so results are independent of the worker count and the scheduling
@@ -209,7 +212,9 @@ func (r *Result) HalfWidth(confidence float64) (float64, error) {
 // pair. Every campaign needs one to classify outcomes against; campaigns
 // that target different structures of the same pair can share a single
 // Golden through Campaign.Golden instead of each re-simulating the
-// reference execution.
+// reference execution. It holds the run's outputs, its read-liveness
+// summary and its checkpoint ladders in memory; none of them outlives
+// the process.
 type Golden struct {
 	chip     string
 	bench    string
@@ -366,9 +371,9 @@ type golden struct {
 	live *liveness
 }
 
-// runGolden executes the fault-free reference run, capturing the
+// runGolden executes the fault-free reference run. The run captures the
 // checkpoint ladder along the way unless ckpt.Off, and the read-liveness
-// summary if recordLive.
+// summary if recordLive; it is the only source of either.
 func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, recordLive bool) (*golden, error) {
 	defer telemetry.StartSpan(context.Background(), "golden_run")()
 	d, err := devices.New(chip)
@@ -379,12 +384,8 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, re
 	if err != nil {
 		return nil, err
 	}
-	// A ladder served from the ladder directory (mmap'd, shared across
-	// processes) replaces the capture pass entirely; the golden run still
-	// executes for its outputs and statistics.
-	loaded, haveLoaded := loadLadderFile(d, chip.Name, bench.Name, ckpt)
 	var lb *ladderBuilder
-	if !ckpt.Off && !haveLoaded {
+	if !ckpt.Off {
 		lb = newLadderBuilder(ckpt)
 		lb.arm(d)
 	}
@@ -402,9 +403,7 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, re
 	if g.stats.Cycles <= maxLivenessCycle {
 		g.live = live
 	}
-	if haveLoaded {
-		g.ladder = loaded
-	} else if lb != nil {
+	if lb != nil {
 		g.ladder = lb.snaps
 		telemetry.LadderBuilds.Inc()
 		telemetry.LadderSnapshots.Add(int64(len(lb.snaps)))
@@ -413,7 +412,6 @@ func runGolden(chip *chips.Chip, bench *workloads.Benchmark, ckpt Checkpoint, re
 			ladderBytes += s.SizeBytes()
 		}
 		telemetry.LadderBytes.Add(ladderBytes)
-		saveLadderFile(d, chip.Name, bench.Name, ckpt, lb.snaps)
 	}
 	g.cycles = g.stats.Cycles
 	if g.cycles <= 0 {

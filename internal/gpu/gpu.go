@@ -323,20 +323,20 @@ type RestoreCoster interface {
 }
 
 // SnapshotCodec is optionally implemented by devices whose snapshots
-// can cross a process boundary through the binary wire format
-// (internal/wire). A snapshot splits into its device-memory image —
-// whose 4 KiB pages the wire format content-addresses and mmap-shares —
-// and an opaque vendor meta blob covering every remaining piece of
-// state (SM/CU structures, scheduler pointers, statistics, launch
-// progress). The contract is exact: UnmarshalSnapshot(MarshalSnapshot(s))
-// must restore bit-identically to s on any device of the same chip
-// configuration.
+// encode to bytes. A snapshot splits into its device-memory image and
+// an opaque vendor meta blob, written with the internal/wire
+// primitives, covering every remaining piece of state (SM/CU
+// structures, scheduler pointers, statistics, launch progress). The
+// contract is exact: UnmarshalSnapshot(MarshalSnapshot(s)) must restore
+// bit-identically to s on any device of the same chip configuration.
+// The meta blob is the simulator-state fingerprint that the vendor
+// snapshot pin tests hold fixed across refactors.
 type SnapshotCodec interface {
 	// MarshalSnapshot encodes s, which must have been captured by a
 	// device of this implementation and chip geometry.
 	MarshalSnapshot(s Snapshot) (mem *MemImage, meta []byte, err error)
-	// UnmarshalSnapshot rebuilds a snapshot from a memory image (whose
-	// pages may reference read-only mapped storage) and the meta blob.
+	// UnmarshalSnapshot rebuilds a snapshot from a memory image and the
+	// meta blob.
 	UnmarshalSnapshot(mem *MemImage, meta []byte) (Snapshot, error)
 }
 

@@ -55,19 +55,8 @@ const (
 	arenaPgs  = 64             // pages per arena chunk (256 KiB)
 )
 
-// PageSize is the COW page granularity in bytes — also the unit of
-// content-addressed page storage in the binary wire format
-// (internal/wire), which must agree with the snapshot machinery here.
-const PageSize = pageSize
-
 // zeroPage is the canonical identity of an all-zero page. Never written.
 var zeroPage = make([]byte, pageSize)
-
-// ZeroPage returns the canonical all-zero page. Decoders substitute it
-// for all-zero pages so restores keep their identity-match fast path
-// (a freshly Reset memory holds zeroPage identities). Callers must
-// never write through it.
-func ZeroPage() []byte { return zeroPage }
 
 // NewMemory creates a device memory of the given size in bytes.
 func NewMemory(size int) *Memory {
@@ -175,37 +164,6 @@ type MemImage struct {
 // at capture count, pages shared with an earlier image or the canonical
 // zero page are free.
 func (img *MemImage) SizeBytes() int64 { return int64(img.owned) * pageSize }
-
-// NumPages returns the number of pages covering the image's extent.
-func (img *MemImage) NumPages() int { return len(img.pages) }
-
-// Page returns page p's immutable backing bytes (always PageSize long).
-// Callers must never write through the returned slice.
-func (img *MemImage) Page(p int) []byte { return img.pages[p] }
-
-// Watermarks returns the allocator state the image restores: the bump
-// watermark and the high-water mark.
-func (img *MemImage) Watermarks() (brk, hwm uint32) { return img.brk, img.hwm }
-
-// NewMappedImage assembles an image over externally owned, immutable
-// page storage — the zero-copy path by which internal/wire rebuilds
-// snapshot images whose pages live in an mmap'd ladder file shared by
-// every process on the host. Each page must be exactly PageSize bytes
-// and must stay immutable and alive for the image's lifetime (COW
-// restores only ever copy out of image pages, never write into them).
-// The image owns none of the pages, so its SizeBytes is zero: mapped
-// storage is not heap cost.
-func NewMappedImage(pages [][]byte, brk, hwm uint32) (*MemImage, error) {
-	if got, want := len(pages), pagesFor(hwm); got != want {
-		return nil, fmt.Errorf("gpu: mapped image has %d pages, extent %d needs %d", got, hwm, want)
-	}
-	for p, pg := range pages {
-		if len(pg) != pageSize {
-			return nil, fmt.Errorf("gpu: mapped image page %d is %d bytes, want %d", p, len(pg), pageSize)
-		}
-	}
-	return &MemImage{pages: pages, brk: brk, hwm: hwm}, nil
-}
 
 // Image captures the memory state for later SetImage restoration. Clean
 // pages (unwritten since the last capture or restore) are shared with

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -18,7 +19,8 @@ import (
 // against a fresh server whose cells execute through a lease queue (so
 // an accepted job never simulates in-process). Whatever the bytes, no
 // handler may panic, every non-2xx answer must carry the
-// {"error":{...}} envelope, and the server must still shut down.
+// {"error":{...}} envelope, a JSON value followed by anything but
+// whitespace must answer 400, and the server must still shut down.
 func FuzzRequestBodies(f *testing.F) {
 	f.Add([]byte(`{"cells":[{"chip":"Mini NVIDIA","benchmark":"vectoradd","injections":20,"seed":1}]}`),
 		[]byte(`{"worker":"w1","max":1}`),
@@ -28,7 +30,9 @@ func FuzzRequestBodies(f *testing.F) {
 		[]byte(`{"error":"boom"}`))
 	f.Add([]byte(`{"cells":[]}`), []byte(`{}`), []byte(`{}`))
 	f.Add([]byte(`{"cells":[{"chip":"nope"}],"policy":{"v":9}}`), []byte(`{"worker":""}`), []byte(`null`))
-	f.Add([]byte(`{"cells":[{"chip":"Mini NVIDIA","benchmark":"vectoradd","structure":"local-memory"}]} trailing`),
+	f.Add([]byte(`{"cells":[{"chip":"Mini NVIDIA","benchmark":"vectoradd","injections":20,"seed":1}]} trailing`),
+		[]byte(`{"worker":"w3","max":1} trailing`), []byte(`{"error":"boom"} trailing`))
+	f.Add([]byte(`{"cells":[{"chip":"Mini NVIDIA","benchmark":"vectoradd","structure":"local-memory"}]}`),
 		[]byte(`[1,2,3]`), []byte(`{"result":{"Outcomes":[1,2,3,4,5]}}`))
 	f.Fuzz(func(t *testing.T, jobBody, leaseBody, completeBody []byte) {
 		q := campaign.NewLeaseQueue(time.Minute)
@@ -63,6 +67,9 @@ func postBody(t *testing.T, srv *Server, path string, body []byte) *httptest.Res
 	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
+	if trailingData(body) && rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST %s with data after the JSON body answered %d, want 400", path, rec.Code)
+	}
 	if rec.Code >= 200 && rec.Code < 300 {
 		return rec
 	}
@@ -73,4 +80,16 @@ func postBody(t *testing.T, srv *Server, path string, body []byte) *httptest.Res
 		t.Fatalf("POST %s answered %d without the error envelope: %q", path, rec.Code, rec.Body.Bytes())
 	}
 	return rec
+}
+
+// trailingData reports whether body is one JSON value followed by
+// anything but whitespace.
+func trailingData(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var v json.RawMessage
+	if dec.Decode(&v) != nil {
+		return false
+	}
+	_, err := dec.Token()
+	return err != io.EOF
 }

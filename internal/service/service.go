@@ -285,6 +285,24 @@ func bodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// decodeBody strictly decodes a request body of at most maxRequestBody
+// bytes into v. As with experiment.Parse, anything but whitespace after
+// the JSON value is an error, so trailing data is never silently
+// dropped.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch tok, err := dec.Token(); {
+	case err == nil:
+		return fmt.Errorf("unexpected %v after the JSON body", tok)
+	case err != io.EOF:
+		return fmt.Errorf("data after the JSON body: %w", err)
+	}
+	return nil
+}
+
 // httpError writes the error envelope with no job attribution.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	httpJobError(w, code, "", format, args...)
@@ -334,7 +352,7 @@ type submitRequest struct {
 // asynchronously.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}

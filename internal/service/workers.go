@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -56,7 +55,7 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req leaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
@@ -124,7 +123,7 @@ func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req completeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}

@@ -244,6 +244,73 @@ func TestWorkerBodiesBounded(t *testing.T) {
 	}
 }
 
+// TestTrailingBodyDataRejected pins strict body decoding on the job and
+// worker endpoints: a JSON body followed by anything but whitespace
+// answers 400 and changes no job or lease state.
+func TestTrailingBodyDataRejected(t *testing.T) {
+	ts, _, q := newRemoteServer(t, time.Minute)
+	postTrailing := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body+" trailing"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s with trailing data: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+	jobCount := func() int {
+		var list struct {
+			Jobs []jobSummary `json:"jobs"`
+		}
+		testutil.GetJSON(t, ts.URL, "/v1/jobs", &list)
+		return len(list.Jobs)
+	}
+	cell := testutil.MiniSpec("vectoradd", 46)
+	body, err := json.Marshal(map[string]any{"cells": []campaign.CellSpec{cell}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	postTrailing("/v1/jobs", string(body))
+	if n := jobCount(); n != 0 {
+		t.Fatalf("rejected submit registered %d jobs", n)
+	}
+
+	var submitted struct {
+		ID string `json:"id"`
+	}
+	testutil.PostJSON(t, ts.URL, "/v1/jobs", map[string]any{"cells": []campaign.CellSpec{cell}}, &submitted, http.StatusAccepted)
+	deadline := time.Now().Add(10 * time.Second)
+	for q.Stats().Pending != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("cell never queued: %+v", q.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	postTrailing("/v1/workers/lease", `{"worker":"w1","max":1}`)
+	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 {
+		t.Fatalf("rejected lease changed the queue: %+v", st)
+	}
+
+	leases := leaseOnce(t, ts, "w1", 1, 0)
+	if len(leases) != 1 {
+		t.Fatalf("leased %d cells, want 1", len(leases))
+	}
+	postTrailing("/v1/workers/"+leases[0].ID+"/complete", `{"error":"boom"}`)
+	if st := q.Stats(); st.Leased != 1 || st.Completed != 0 || st.Failed != 0 {
+		t.Fatalf("rejected complete changed the queue: %+v", st)
+	}
+
+	completeLease(t, ts, leases[0].ID, runRemoteCell(t, leases[0].Task), "", http.StatusOK)
+	testutil.WaitForJob(t, ts.URL, submitted.ID)
+	if n := jobCount(); n != 1 {
+		t.Fatalf("%d jobs, want 1", n)
+	}
+}
+
 func TestShutdownDrainsRunningJobs(t *testing.T) {
 	// In-process execution, big enough batch to still be running.
 	sched := campaign.New(campaign.Config{Workers: 1, CampaignWorkers: 1})

@@ -12,8 +12,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// miniDevice is the Mini chip device of one vendor, seen through the
-// interfaces the ladder files use.
+// miniDevice is the Mini chip device of one vendor, seen through its
+// device and snapshot-codec interfaces.
 type miniDevice interface {
 	gpu.Device
 	gpu.SnapshotCodec
@@ -70,8 +70,8 @@ func seedMetas(tb testing.TB, amd bool) [][]byte {
 	return metas
 }
 
-// FuzzUnmarshalSnapshot attacks the simulators' real snapshot decoder
-// (ladder files are read back from disk). For any bytes: decoding never
+// FuzzUnmarshalSnapshot attacks the simulators' real snapshot decoder.
+// For any bytes: decoding never
 // panics and allocates at most a small multiple of the input; an
 // accepted meta re-marshals to identical bytes; and an accepted meta
 // restores cleanly into a fresh Mini device, because the decoder applies

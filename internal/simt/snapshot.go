@@ -227,13 +227,13 @@ func (c *Core[S]) Restore(s gpu.Snapshot) error {
 	return nil
 }
 
-// Wire codec (gpu.SnapshotCodec): the memory image travels separately
-// as content-addressed pages in the ladder file; the meta blob encoded
-// here carries everything else — execution statistics, launch progress
-// and the per-unit scheduler state, with each warp's record laid out by
-// the vendor's EncodeWarp. The layout is versioned only through the
-// enclosing wire file version: a format change here or in a vendor's
-// warp record requires a wire.Version bump.
+// Snapshot codec (gpu.SnapshotCodec): the memory image stays a
+// gpu.MemImage; the meta blob encoded here with the wire primitives
+// carries everything else — execution statistics, launch progress and
+// the per-unit scheduler state, with each warp's record laid out by the
+// vendor's EncodeWarp. No snapshot is persisted: the blob is the
+// simulator-state fingerprint that each vendor's TestSnapshotMetaPinned
+// holds byte for byte across refactors.
 
 // MarshalSnapshot implements gpu.SnapshotCodec.
 func (c *Core[S]) MarshalSnapshot(s gpu.Snapshot) (*gpu.MemImage, []byte, error) {
@@ -292,10 +292,9 @@ func (c *Core[S]) MarshalSnapshot(s gpu.Snapshot) (*gpu.MemImage, []byte, error)
 }
 
 // UnmarshalSnapshot implements gpu.SnapshotCodec. The returned snapshot
-// references mem directly (which may alias a read-only mapping — the
-// restore path only copies out of images, never into them). A meta that
-// decodes but fails Restore's validation is rejected here too, so every
-// accepted snapshot restores.
+// references mem directly (the restore path only copies out of images,
+// never into them). A meta that decodes but fails Restore's validation
+// is rejected here too, so every accepted snapshot restores.
 func (c *Core[S]) UnmarshalSnapshot(mem *gpu.MemImage, meta []byte) (gpu.Snapshot, error) {
 	snap, err := c.decode(mem, meta)
 	if err == nil {

@@ -78,20 +78,9 @@ var (
 	StoreRecordsDead = Default.Gauge("fi_store_disk_records_dead",
 		"Superseded records across open disk stores, pending compaction.")
 
-	// Binary wire format (internal/wire): store/ladder encoding and
-	// mmap'd ladder sharing.
+	// Binary wire format (internal/wire).
 	WireBytesWritten = Default.Counter("fi_wire_bytes_written_total",
-		"Bytes written to binary wire-format files (stores and ladders).")
-	WirePagesStored = Default.Counter("fi_wire_pages_stored_total",
-		"Distinct content-addressed 4 KiB pages written to ladder files.")
-	WirePagesDeduped = Default.Counter("fi_wire_pages_deduped_total",
-		"Snapshot page references deduplicated against an already-stored page.")
-	WireMmapHits = Default.Counter("fi_wire_mmap_hits_total",
-		"Checkpoint ladders served from an existing ladder file instead of a rebuild.")
-	WireLadderSaves = Default.Counter("fi_wire_ladder_saves_total",
-		"Checkpoint ladders serialized to ladder files.")
-	WireLadderMmapBytes = Default.Gauge("fi_wire_ladder_mmap_bytes",
-		"Bytes of ladder files currently mapped read-only into this process (one mapping per file, shared by every consumer).")
+		"Bytes written to binary wire-format result stores.")
 
 	// Job journal and restart recovery (internal/service.JobStore).
 	JobJournalAppends = Default.Counter("fi_store_job_journal_appends_total",

@@ -8,8 +8,9 @@ import (
 
 // Writer appends fixed-width little-endian primitives to a growing
 // buffer. It is the one encoding vocabulary shared by every wire
-// payload (cell results, snapshot meta blobs, ladder info), so all
-// record kinds agree on widths and byte order by construction.
+// payload (cell results, ownership records) and by the simulators'
+// snapshot meta blobs, so all of them agree on widths and byte order by
+// construction.
 type Writer struct {
 	b []byte
 }
@@ -97,8 +98,7 @@ type Reader struct {
 }
 
 // NewReader returns a Reader over buf. The Reader never writes through
-// buf and the slices it returns are always copies, so buf may reference
-// read-only mapped memory.
+// buf and the slices it returns are always copies.
 func NewReader(buf []byte) *Reader { return &Reader{b: buf} }
 
 // Err returns the first decoding error, if any.

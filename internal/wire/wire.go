@@ -1,7 +1,6 @@
 // Package wire is the versioned binary on-disk format shared by the
-// campaign result store (campaign.DiskStore), the file-backed
-// checkpoint-ladder store (finject's -ladder-dir path) and the fistore
-// inspection CLI. A wire file is
+// campaign result store (campaign.DiskStore), the control-plane
+// ownership journal and the fistore inspection CLI. A wire file is
 //
 //	[magic "FIWR"][version u8][file kind u8][reserved u16]
 //	[record]...
@@ -10,13 +9,9 @@
 //
 //	[kind u8][payload length u32][payload][crc32(kind || payload) u32]
 //
-// Two payload families exist: campaign cell records (a campaign.CellKey
-// plus its finject.Result, encoded by internal/campaign) and snapshot
-// images (ladder files), where each 4 KiB device-memory page is stored
-// once under its content hash and referenced by index, so adjacent
-// ladder rungs share their unchanged pages on disk exactly as they do
-// in heap COW. Ladder files are opened by read-only mmap, so every
-// process on a host shares one physical copy of a golden's ladder.
+// Payloads are encoded with Writer and decoded with Reader: a campaign
+// cell record (a campaign.CellKey plus its finject.Result, encoded by
+// internal/campaign) or an ownership transition (ownership.go).
 //
 // Torn tails versus corruption follow one rule: a record whose declared
 // extent runs past the end of the file is the signature of a process
@@ -53,9 +48,9 @@ type FileKind uint8
 const (
 	// FileStore is an appendable campaign cell-result store.
 	FileStore FileKind = 1
-	// FileLadder is an immutable checkpoint-ladder image, written once
-	// and mmap'd read-only by any number of processes.
-	FileLadder FileKind = 2
+	// Kind 2 was the checkpoint-ladder file of earlier versions. It is
+	// reserved, never reused, and rejected by ParseHeader.
+	retiredLadder FileKind = 2
 	// FileOwner is the control-plane ownership journal: an append-only
 	// sequence of epoch claim/heartbeat/release records through which a
 	// fleet of fiservers agrees on which one owns the shared job store.
@@ -67,8 +62,6 @@ func (k FileKind) String() string {
 	switch k {
 	case FileStore:
 		return "store"
-	case FileLadder:
-		return "ladder"
 	case FileOwner:
 		return "ownership"
 	default:
@@ -83,16 +76,9 @@ type RecordKind uint8
 const (
 	// RecCell is one campaign cell result (key + finject.Result).
 	RecCell RecordKind = 1
-	// RecPage is one content-addressed 4 KiB device-memory page:
-	// [sha256 32 bytes][4096 page bytes]. Pages are indexed by their
-	// order of appearance in the file.
-	RecPage RecordKind = 2
-	// RecSnapshot is one checkpoint-ladder rung referencing pages by
-	// index plus an opaque device meta blob.
-	RecSnapshot RecordKind = 3
-	// RecLadderInfo identifies a ladder file's (chip, benchmark,
-	// interval) so loaders never restore a foreign ladder.
-	RecLadderInfo RecordKind = 4
+	// Kinds 2-4 held the pages, rungs and identity of the retired
+	// checkpoint-ladder files; like file kind 2 they are never reused.
+
 	// RecOwner is one control-plane ownership transition (see
 	// ownership.go): an epoch claim, a heartbeat under an epoch, or a
 	// voluntary release.
@@ -104,12 +90,6 @@ func (k RecordKind) String() string {
 	switch k {
 	case RecCell:
 		return "cell"
-	case RecPage:
-		return "page"
-	case RecSnapshot:
-		return "snapshot"
-	case RecLadderInfo:
-		return "ladder-info"
 	case RecOwner:
 		return "owner"
 	default:
@@ -154,7 +134,11 @@ func ParseHeader(b []byte) (FileKind, int, error) {
 		return 0, 0, fmt.Errorf("%w: %d (reader speaks %d)", ErrVersion, b[4], Version)
 	}
 	kind := FileKind(b[5])
-	if kind != FileStore && kind != FileLadder && kind != FileOwner {
+	switch kind {
+	case FileStore, FileOwner:
+	case retiredLadder:
+		return 0, 0, fmt.Errorf("%w: file kind %d is a checkpoint-ladder file, which this version no longer reads", ErrCorrupt, b[5])
+	default:
 		return 0, 0, fmt.Errorf("%w: unknown file kind %d", ErrCorrupt, b[5])
 	}
 	return kind, HeaderSize, nil
@@ -178,9 +162,8 @@ func AppendRecord(b []byte, kind RecordKind, payload []byte) []byte {
 }
 
 // Record is one decoded record frame. Payload aliases the scanned
-// buffer (zero-copy: for an mmap'd ladder file it points straight into
-// the mapping), so callers must copy anything they retain unless the
-// buffer is immutable and long-lived.
+// buffer, so callers must copy anything they retain unless the buffer
+// is immutable and long-lived.
 type Record struct {
 	Kind    RecordKind
 	Payload []byte

@@ -4,16 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"repro/internal/gpu"
-	"repro/internal/telemetry"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
-	for _, kind := range []FileKind{FileStore, FileLadder} {
+	for _, kind := range []FileKind{FileStore, FileOwner} {
 		b := AppendHeader(nil, kind)
 		if len(b) != HeaderSize {
 			t.Fatalf("header is %d bytes, want %d", len(b), HeaderSize)
@@ -41,10 +36,14 @@ func TestParseHeaderRejects(t *testing.T) {
 		t.Fatalf("future version: err = %v, want ErrVersion", err)
 	}
 
-	alien := append([]byte(nil), good...)
-	alien[5] = 99
-	if _, _, err := ParseHeader(alien); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unknown file kind: err = %v, want ErrCorrupt", err)
+	// 99 was never defined; 2 was the checkpoint-ladder file of earlier
+	// versions and stays reserved.
+	for _, kind := range []byte{99, 2} {
+		alien := append([]byte(nil), good...)
+		alien[5] = kind
+		if _, _, err := ParseHeader(alien); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("file kind %d: err = %v, want ErrCorrupt", kind, err)
+		}
 	}
 
 	if IsWireFile([]byte(`{"key":"x"}`)) || !IsWireFile(good) {
@@ -246,216 +245,5 @@ func TestSliceLenBounds(t *testing.T) {
 		if r.Err() == nil {
 			t.Fatal("implausible slice length was accepted")
 		}
-	}
-}
-
-// --- ladder round trip over a fake device codec -------------------------
-
-// fakeSnap is a minimal gpu.Snapshot whose device state is just a cycle
-// and an opaque tag, with its memory held as a MemImage directly.
-type fakeSnap struct {
-	cycle int64
-	mem   *gpu.MemImage
-	tag   []byte
-}
-
-func (s *fakeSnap) Cycle() int64     { return s.cycle }
-func (s *fakeSnap) SizeBytes() int64 { return s.mem.SizeBytes() }
-
-// fakeCodec marshals fakeSnaps; its meta blob carries cycle + tag.
-type fakeCodec struct{}
-
-func (fakeCodec) MarshalSnapshot(s gpu.Snapshot) (*gpu.MemImage, []byte, error) {
-	fs := s.(*fakeSnap)
-	var w Writer
-	w.I64(fs.cycle)
-	w.Blob(fs.tag)
-	return fs.mem, w.Bytes(), nil
-}
-
-func (fakeCodec) UnmarshalSnapshot(mem *gpu.MemImage, meta []byte) (gpu.Snapshot, error) {
-	r := NewReader(meta)
-	s := &fakeSnap{cycle: r.I64(), tag: r.Blob(), mem: mem}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// fill returns one page of the given fill byte.
-func fill(b byte) []byte {
-	pg := make([]byte, gpu.PageSize)
-	for i := range pg {
-		pg[i] = b
-	}
-	return pg
-}
-
-// snap builds a fake snapshot over the given pages.
-func snap(t *testing.T, cycle int64, tag string, pages ...[]byte) *fakeSnap {
-	t.Helper()
-	hwm := uint32(len(pages) * gpu.PageSize)
-	mem, err := gpu.NewMappedImage(pages, hwm, hwm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fakeSnap{cycle: cycle, mem: mem, tag: []byte(tag)}
-}
-
-func TestLadderRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.ladder")
-	info := LadderInfo{Chip: "Mini Test", Benchmark: "vectoradd", Interval: 0}
-
-	p1, p2, p3, zero := fill(0x11), fill(0x22), fill(0x33), make([]byte, gpu.PageSize)
-	snaps := []gpu.Snapshot{
-		snap(t, 100, "rung0", p1, p2, zero),
-		snap(t, 200, "rung1", p1, p3, zero), // shares p1 and the zero page with rung0
-	}
-
-	stored0 := telemetry.WirePagesStored.Value()
-	deduped0 := telemetry.WirePagesDeduped.Value()
-	saves0 := telemetry.WireLadderSaves.Value()
-	if err := WriteLadder(path, info, fakeCodec{}, snaps); err != nil {
-		t.Fatal(err)
-	}
-	// 6 page references, 4 distinct pages: p1, p2, zero, p3.
-	if got := telemetry.WirePagesStored.Value() - stored0; got != 4 {
-		t.Fatalf("pages stored = %d, want 4", got)
-	}
-	if got := telemetry.WirePagesDeduped.Value() - deduped0; got != 2 {
-		t.Fatalf("pages deduped = %d, want 2", got)
-	}
-	if got := telemetry.WireLadderSaves.Value() - saves0; got != 1 {
-		t.Fatalf("ladder saves = %d, want 1", got)
-	}
-
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mmap0 := telemetry.WireLadderMmapBytes.Value()
-	loaded, err := OpenLadder(path, info, fakeCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := telemetry.WireLadderMmapBytes.Value() - mmap0; got != st.Size() {
-		t.Fatalf("mmap gauge grew by %d, want file size %d", got, st.Size())
-	}
-	// A second load of the same file reuses the process-wide mapping:
-	// the gauge must not count the file twice.
-	if _, err := OpenLadder(path, info, fakeCodec{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := telemetry.WireLadderMmapBytes.Value() - mmap0; got != st.Size() {
-		t.Fatalf("second open grew the mmap gauge to +%d, want a single mapping of %d", got, st.Size())
-	}
-
-	if len(loaded) != len(snaps) {
-		t.Fatalf("loaded %d snapshots, want %d", len(loaded), len(snaps))
-	}
-	for i, s := range loaded {
-		got, want := s.(*fakeSnap), snaps[i].(*fakeSnap)
-		if got.cycle != want.cycle || !bytes.Equal(got.tag, want.tag) {
-			t.Fatalf("rung %d: cycle/tag = %d/%q, want %d/%q", i, got.cycle, got.tag, want.cycle, want.tag)
-		}
-		if got.mem.NumPages() != want.mem.NumPages() {
-			t.Fatalf("rung %d: %d pages, want %d", i, got.mem.NumPages(), want.mem.NumPages())
-		}
-		for p := 0; p < want.mem.NumPages(); p++ {
-			if !bytes.Equal(got.mem.Page(p), want.mem.Page(p)) {
-				t.Fatalf("rung %d page %d differs", i, p)
-			}
-		}
-		// The all-zero page must decode to the canonical zero page so
-		// restores keep their identity-match fast path.
-		if zp := got.mem.Page(2); &zp[0] != &gpu.ZeroPage()[0] {
-			t.Fatalf("rung %d: zero page was not canonicalized", i)
-		}
-		// Rungs alias shared pages: one physical copy of p1.
-		if i > 0 {
-			prev := loaded[0].(*fakeSnap)
-			if a, b := got.mem.Page(0), prev.mem.Page(0); &a[0] != &b[0] {
-				t.Fatal("shared page is not aliased across rungs")
-			}
-		}
-	}
-
-	// VerifyLadder agrees with what was written.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pages, snapshots, err := VerifyLadder(data)
-	if err != nil || pages != 4 || snapshots != 2 {
-		t.Fatalf("VerifyLadder = %d pages, %d snapshots, %v", pages, snapshots, err)
-	}
-}
-
-func TestLadderIdentityMismatch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "b.ladder")
-	info := LadderInfo{Chip: "Mini Test", Benchmark: "vectoradd", Interval: 777}
-	if err := WriteLadder(path, info, fakeCodec{}, []gpu.Snapshot{snap(t, 1, "x", fill(1))}); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []LadderInfo{
-		{Chip: "Other Chip", Benchmark: "vectoradd", Interval: 777},
-		{Chip: "Mini Test", Benchmark: "matrixMul", Interval: 777},
-		{Chip: "Mini Test", Benchmark: "vectoradd", Interval: 0},
-	} {
-		if _, err := OpenLadder(path, want, fakeCodec{}); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("foreign ladder %+v: err = %v, want ErrCorrupt", want, err)
-		}
-	}
-}
-
-func TestLadderRejectsDamage(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.ladder")
-	info := LadderInfo{Chip: "c", Benchmark: "b", Interval: 0}
-	if err := WriteLadder(good, info, fakeCodec{}, []gpu.Snapshot{snap(t, 5, "x", fill(7))}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Ladders are written atomically, so a short tail is an error here,
-	// not a healable torn append. Separate paths per case: mappings are
-	// cached per path for the life of the process.
-	torn := filepath.Join(dir, "torn.ladder")
-	if err := os.WriteFile(torn, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLadder(torn, info, fakeCodec{}); !errors.Is(err, ErrTorn) {
-		t.Fatalf("truncated ladder: err = %v, want ErrTorn", err)
-	}
-	if _, _, err := VerifyLadder(data[:len(data)-3]); !errors.Is(err, ErrTorn) {
-		t.Fatalf("VerifyLadder truncated: err = %v, want ErrTorn", err)
-	}
-
-	// A store file is not a ladder.
-	store := filepath.Join(dir, "not-a.ladder")
-	if err := os.WriteFile(store, AppendHeader(nil, FileStore), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLadder(store, info, fakeCodec{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("store-as-ladder: err = %v, want ErrCorrupt", err)
-	}
-
-	// A flipped page byte fails the content hash in VerifyLadder and the
-	// record CRC before that.
-	flipped := append([]byte(nil), data...)
-	flipped[len(flipped)-200] ^= 0x40
-	if _, _, err := VerifyLadder(flipped); err == nil {
-		t.Fatal("flipped byte passed VerifyLadder")
-	}
-
-	// Missing the ladder file entirely is fs.ErrNotExist, which the
-	// finject loader treats as a silent miss.
-	if _, err := OpenLadder(filepath.Join(dir, "absent.ladder"), info, fakeCodec{}); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("absent ladder: err = %v, want ErrNotExist", err)
 	}
 }
